@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import perm as pm
+from . import power as pw
 from . import solution as sol
 from .errors import AxiomError, SizeCapExceeded
 from .perm import Perm
@@ -182,55 +183,34 @@ def check_lambda_properties(b: Brace) -> LambdaReport:
 
 def associated_solution(b: Brace) -> Solution:
     """The solution on the brace's underlying set with σ_x = λ_x."""
-    lt = lambda_table(b).table
-    s = sol.from_sigma(lt)
-    # derived gamma must match λ⁻¹_{λ_x(y)}(x)
-    lt_inv = [pm.inverse(p) for p in lt]
-    for x in range(b.k):
-        for y in range(b.k):
-            assert s.gamma[y][x] == lt_inv[lt[x][y]][x], (
-                "gamma disagrees with the lambda-inverse description"
-            )
-    return s
+    return sol.from_sigma(lambda_table(b).table)
 
 
-def check_eq_3_1(b: Brace, xbar, ybar) -> bool:
-    """Inside the multiplicative group, with σ = λ over the whole brace:
-    the product h₁⋯h_j must equal λ_{x₁⋯xₙ}(y₁⋯y_j) for every j, and
-    each h_j (j ≥ 2) must equal the quotient
-    λ_{x₁⋯xₙ}(y₁⋯y_{j-1})⁻¹ · λ_{x₁⋯xₙ}(y₁⋯y_j)."""
+def check_eq_3_1(lt: LambdaTable, xbar, ybar) -> bool:
+    """Inside the multiplicative group of the brace ``lt.owner``, with
+    σ = λ over the whole brace: the product h₁⋯h_j must equal
+    λ_{x₁⋯xₙ}(y₁⋯y_j) for every j, and each h_j (j ≥ 2) must equal the
+    quotient λ_{x₁⋯xₙ}(y₁⋯y_{j-1})⁻¹ · λ_{x₁⋯xₙ}(y₁⋯y_j)."""
+    b = lt.owner
     n = len(xbar)
     if len(ybar) != n:
         raise ValueError("tuples must have equal length")
     for v in itertools.chain(xbar, ybar):
         if not 0 <= v < b.k:
             raise ValueError(f"entry {v} out of range for brace of order {b.k}")
-    lt = lambda_table(b).table
-    # h recursion with sigma = lambda, run inside the brace
-    inv = [pm.inverse(p) for p in lt]
-    prod_x = lt[xbar[0]]
-    for x in xbar[1:]:
-        prod_x = pm.compose(prod_x, lt[x])
-    h = [prod_x[ybar[0]]]
-    for j in range(1, n):
-        v = ybar[j]
-        for i in range(j - 1, -1, -1):
-            v = lt[ybar[i]][v]
-        v = prod_x[v]
-        for hi in h:
-            v = inv[hi][v]
-        h.append(v)
+    lam = lt.table
+    h = pw._f_tuple(lam, xbar, ybar)
 
     big_x = b.mul_many(xbar)
     ok = True
     for j in range(1, n + 1):
         y_prod = b.mul_many(ybar[:j])
-        lhs = lt[big_x][y_prod]
+        lhs = lam[big_x][y_prod]
         rhs = b.mul_many(h[:j])
         if lhs != rhs:
             ok = False
         if j >= 2:
-            prev = lt[big_x][b.mul_many(ybar[: j - 1])]
+            prev = lam[big_x][b.mul_many(ybar[: j - 1])]
             quotient = b.mul[b.inv[prev]][lhs]
             if h[j - 1] != quotient:
                 ok = False

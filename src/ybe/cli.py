@@ -66,7 +66,8 @@ def cmd_power(args):
     s = files.parse_solution(_read(args.file))
     if args.n < 2:
         raise ParseError(f"exponent must be at least 2, got {args.n}")
-    a, b, phi = pw.power_perm_group(s, args.n, cap=args.cap)
+    ps = pw.power_solution(s, args.n, cap=args.cap)
+    a, b, phi = pw.power_perm_group(ps)
     base = sol.permutation_group(s, cap=args.cap)
     cond = pw.iso_condition(s, args.n)
     print(f"base group order: {base.order}")
@@ -75,7 +76,6 @@ def cmd_power(args):
     print(f"classification: {cond.value}")
     print(f"isomorphic: {'yes' if phi is not None else 'no'}")
     if args.out:
-        ps = pw.power_solution(s, args.n, cap=args.cap)
         header = f"power m={s.m} n={args.n} encoding=lex-msb-first"
         Path(args.out).write_text(
             files.emit_solution(ps.result, header=header), encoding="utf-8"
@@ -85,8 +85,6 @@ def cmd_power(args):
 
 
 def cmd_enumerate(args):
-    if args.m > 4:
-        raise SizeCapExceeded(f"enumeration supports m <= 4, got {args.m}")
     found = sol.enumerate_solutions(args.m)
     print(f"count: {len(found)}")
     if args.dedup:
@@ -171,13 +169,17 @@ def cmd_brace_eq31_check(args):
     n = args.n
     if n < 2:
         raise ParseError(f"tuple length must be at least 2, got {n}")
+    if args.samples < 0:
+        raise ParseError(f"sample count must not be negative, got {args.samples}")
+    pw.check_degree(b.k, n, args.cap)
+    lt = br.lambda_table(b)
     failures = 0
     if args.samples == 0:
         codec = pw.TupleCodec(b.k, n)
         pairs = ((x, y) for x in codec.all_tuples() for y in codec.all_tuples())
         total = codec.size**2
         for xbar, ybar in pairs:
-            if not br.check_eq_3_1(b, xbar, ybar):
+            if not br.check_eq_3_1(lt, xbar, ybar):
                 failures += 1
         print(f"checked all {total} tuple pairs (n={n})")
     else:
@@ -185,7 +187,7 @@ def cmd_brace_eq31_check(args):
         for _ in range(args.samples):
             xbar = tuple(rng.randrange(b.k) for _ in range(n))
             ybar = tuple(rng.randrange(b.k) for _ in range(n))
-            if not br.check_eq_3_1(b, xbar, ybar):
+            if not br.check_eq_3_1(lt, xbar, ybar):
                 failures += 1
         print(f"checked {args.samples} sampled tuple pairs (n={n}, seed={args.seed})")
     print(f"failures: {failures}")
@@ -263,6 +265,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.cap < 1:
+            raise ParseError(f"--cap must be positive, got {args.cap}")
         return args.func(args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -74,11 +74,15 @@ class GeneratedGroup:
 
     ``elements`` is the full closure in a deterministic breadth-first
     order starting from the identity, applying generators in input order.
+    ``parents[i - 1] = (p, gi)`` says that ``elements[i]`` was first
+    reached as ``compose(elements[p], generators[gi])``: the BFS tree
+    rooted at the identity.
     """
 
     degree: int
     generators: tuple[Perm, ...]
     elements: tuple[Perm, ...]
+    parents: tuple[tuple[int, int], ...] = field(repr=False, compare=False)
     _index: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -112,47 +116,30 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> GeneratedGroup:
 
     ident = identity(m)
     elements = [ident]
+    parents = []
     seen = {ident}
-    frontier = [ident]
+    frontier = [0]
     while frontier:
         nxt = []
-        for e in frontier:
-            for g in gens:
-                c = compose(e, g)
+        for ei in frontier:
+            for gi, g in enumerate(gens):
+                c = compose(elements[ei], g)
                 if c not in seen:
                     seen.add(c)
+                    nxt.append(len(elements))
                     elements.append(c)
-                    nxt.append(c)
+                    parents.append((ei, gi))
                     if len(elements) > cap:
                         raise SizeCapExceeded(
                             f"group closure exceeded cap of {cap} elements"
                         )
         frontier = nxt
-    return GeneratedGroup(degree=m, generators=tuple(gens), elements=tuple(elements))
-
-
-def _closure_words(group: GeneratedGroup):
-    """BFS spanning structure: element -> (parent element, generator index).
-
-    The identity is the root. Reconstructing phi along this tree lets an
-    isomorphism candidate be extended from generator images alone.
-    """
-    gens = group.generators
-    ident = identity(group.degree)
-    parent = {ident: None}
-    order = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for gi, g in enumerate(gens):
-                c = compose(e, g)
-                if c not in parent:
-                    parent[c] = (e, gi)
-                    order.append(c)
-                    nxt.append(c)
-        frontier = nxt
-    return order, parent
+    return GeneratedGroup(
+        degree=m,
+        generators=tuple(gens),
+        elements=tuple(elements),
+        parents=tuple(parents),
+    )
 
 
 def groups_isomorphic(g: GeneratedGroup, h: GeneratedGroup, cap: int = DEFAULT_CAP):
@@ -169,7 +156,6 @@ def groups_isomorphic(g: GeneratedGroup, h: GeneratedGroup, cap: int = DEFAULT_C
     if g.element_order_multiset() != h.element_order_multiset():
         return None
 
-    bfs_order, parent = _closure_words(g)
     gens = g.generators
     gen_orders = [perm_order(x) for x in gens]
     # candidate images in h, bucketed by element order
@@ -179,15 +165,16 @@ def groups_isomorphic(g: GeneratedGroup, h: GeneratedGroup, cap: int = DEFAULT_C
     ident_h = identity(h.degree)
 
     def build(images):
-        phi = {identity(g.degree): ident_h}
+        # extend the generator images along the BFS tree of g
+        imgs = [ident_h]
         used = {ident_h}
-        for e in bfs_order[1:]:
-            p, gi = parent[e]
-            img = compose(phi[p], images[gi])
+        for p, gi in g.parents:
+            img = compose(imgs[p], images[gi])
             if img in used:
                 return None
-            phi[e] = img
+            imgs.append(img)
             used.add(img)
+        phi = dict(zip(g.elements, imgs))
         # well-defined on the tree and injective; confirm it is a morphism
         for a in g.elements:
             for b in g.elements:

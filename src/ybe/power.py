@@ -77,6 +77,22 @@ class PowerSolution:
     result: Solution
 
 
+def check_degree(m: int, n: int, cap: int) -> None:
+    """Raise SizeCapExceeded when the degree mⁿ exceeds ``cap``.
+
+    The product stops as soon as it passes the cap, so a huge n is
+    declined without building mⁿ. The degree counts as max(m, 2)ⁿ, so
+    that a 1-point base also bounds n.
+    """
+    size = 1
+    for _ in range(n):
+        if size > cap:
+            break
+        size *= max(m, 2)
+    if size > cap:
+        raise SizeCapExceeded(f"degree {m}^{n} exceeds cap {cap}")
+
+
 def _check_entries(m, ybar):
     for y in ybar:
         if not 0 <= y < m:
@@ -105,54 +121,41 @@ def psi_apply(sigma_table, tau: Perm, ybar) -> tuple[int, ...]:
 
 
 def psi_inverse_apply(sigma_table, tau: Perm, ybar) -> tuple[int, ...]:
-    """Inverse of psi_apply: the same recursion run with τ⁻¹."""
-    m = len(tau)
-    _check_entries(m, ybar)
-    sigma = [tuple(s) for s in sigma_table]
-    tau_inv = pm.inverse(tau)
-    t = [tau_inv[ybar[0]]]
-    acc_t = sigma[t[0]]
-    acc_y = sigma[ybar[0]]
-    for j in range(1, len(ybar)):
-        v = pm.inverse(acc_t)[tau_inv[acc_y[ybar[j]]]]
-        t.append(v)
-        if j + 1 < len(ybar):
-            acc_t = pm.compose(acc_t, sigma[v])
-            acc_y = pm.compose(acc_y, sigma[ybar[j]])
-    return tuple(t)
+    """Inverse of psi_apply: ψ is a homomorphism, so ψ(τ)⁻¹ = ψ(τ⁻¹)."""
+    return psi_apply(sigma_table, pm.inverse(tau), ybar)
 
 
 def psi_perm(sigma_table, tau: Perm, n: int, cap: int = DEFAULT_POWER_CAP) -> Perm:
     """The embedded permutation as a Perm of degree mⁿ."""
     m = len(tau)
+    check_degree(m, n, cap)
     codec = TupleCodec(m, n)
-    if codec.size > cap:
-        raise SizeCapExceeded(f"degree {m}^{n} exceeds cap {cap}")
     return tuple(
         codec.encode(psi_apply(sigma_table, tau, ybar))
         for ybar in codec.all_tuples()
     )
 
 
-def _sigma_product(s: Solution, xbar) -> Perm:
+def _sigma_product(sigma, xbar) -> Perm:
     """σ_{x₁}∘σ_{x₂}∘⋯∘σ_{xₙ} (rightmost acts first)."""
-    prod = s.sigma[xbar[0]]
+    prod = sigma[xbar[0]]
     for x in xbar[1:]:
-        prod = pm.compose(prod, s.sigma[x])
+        prod = pm.compose(prod, sigma[x])
     return prod
 
 
-def _f_tuple(s: Solution, xbar, ybar) -> tuple[int, ...]:
-    """f_x̄(ȳ) via the h_j recursion (independent of psi_apply)."""
-    sig_x = _sigma_product(s, xbar)
-    inv = [pm.inverse(p) for p in s.sigma]
+def _f_tuple(sigma, xbar, ybar) -> tuple[int, ...]:
+    """f_x̄(ȳ) via the h_j recursion (independent of psi_apply), for any
+    σ-table: a solution's, or the λ-table of a brace."""
+    sig_x = _sigma_product(sigma, xbar)
+    inv = [pm.inverse(p) for p in sigma]
     h = [sig_x[ybar[0]]]
     for j in range(1, len(ybar)):
         # v = σ_{y_1}⋯σ_{y_{j-1}}(y_j), then the x-product, then the
         # inverses σ⁻¹_{h_1} up through σ⁻¹_{h_{j-1}}
         v = ybar[j]
         for i in range(j - 1, -1, -1):
-            v = s.sigma[ybar[i]][v]
+            v = sigma[ybar[i]][v]
         v = sig_x[v]
         for hi in h:
             v = inv[hi][v]
@@ -165,11 +168,10 @@ def f_map(s: Solution, xbar, n: int, cap: int = DEFAULT_POWER_CAP) -> Perm:
     if len(xbar) != n:
         raise ValueError(f"expected a {n}-tuple, got {len(xbar)} entries")
     _check_entries(s.m, xbar)
+    check_degree(s.m, n, cap)
     codec = TupleCodec(s.m, n)
-    if codec.size > cap:
-        raise SizeCapExceeded(f"degree {s.m}^{n} exceeds cap {cap}")
     return tuple(
-        codec.encode(_f_tuple(s, xbar, ybar)) for ybar in codec.all_tuples()
+        codec.encode(_f_tuple(s.sigma, xbar, ybar)) for ybar in codec.all_tuples()
     )
 
 
@@ -177,20 +179,10 @@ def power_solution(s: Solution, n: int, cap: int = DEFAULT_POWER_CAP) -> PowerSo
     """Build (Xⁿ, r⁽ⁿ⁾) with σ-table {f_x̄}, fully verified."""
     if n < 2:
         raise ValueError("exponent must be at least 2")
+    check_degree(s.m, n, cap)
     codec = TupleCodec(s.m, n)
-    if codec.size > cap:
-        raise SizeCapExceeded(f"degree {s.m}^{n} exceeds cap {cap}")
     sigma = tuple(f_map(s, xbar, n, cap=cap) for xbar in codec.all_tuples())
-    result = sol.from_sigma(sigma)
-    # the derived gamma must coincide with ȳ ↦ f⁻¹_{f_x̄(ȳ)}(x̄)
-    f_inv = [pm.inverse(row) for row in sigma]
-    for xe in range(codec.size):
-        for ye in range(codec.size):
-            expected = f_inv[sigma[xe][ye]][xe]
-            assert result.gamma[ye][xe] == expected, (
-                "gamma derivation disagrees with the f-inverse description"
-            )
-    return PowerSolution(base=s, n=n, codec=codec, result=result)
+    return PowerSolution(base=s, n=n, codec=codec, result=sol.from_sigma(sigma))
 
 
 def power_solution_n2_direct(s: Solution, x1, x2, y1, y2) -> tuple[int, int]:
@@ -205,14 +197,14 @@ def power_solution_n2_direct(s: Solution, x1, x2, y1, y2) -> tuple[int, int]:
     return first, second
 
 
-def power_perm_group(s: Solution, n: int, cap: int = DEFAULT_POWER_CAP):
+def power_perm_group(ps: PowerSolution):
     """(A, B, φ): A the permutation group of the power solution, B the
     subgroup of Sym_m generated by all products σ_{x₁}⋯σ_{xₙ}, and φ an
     isomorphism A -> B when one exists (always, per the construction)."""
-    ps = power_solution(s, n, cap=cap)
     a = sol.permutation_group(ps.result)
-    codec = ps.codec
-    products = list(dict.fromkeys(_sigma_product(s, xbar) for xbar in codec.all_tuples()))
+    products = list(dict.fromkeys(
+        _sigma_product(ps.base.sigma, xbar) for xbar in ps.codec.all_tuples()
+    ))
     b = pm.close_group(products)
     phi = pm.groups_isomorphic(a, b)
     return a, b, phi

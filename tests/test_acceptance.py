@@ -103,20 +103,20 @@ def test_criterion_5_closed_n2_formula(corpus):
 def test_criterion_6_power_group_comparison(corpus, swap2, adjoined3):
     for s in corpus:
         for n in (2, 3):
-            a, b, phi = pw.power_perm_group(s, n)
+            a, b, phi = pw.power_perm_group(pw.power_solution(s, n))
             assert phi is not None, (s.sigma, n)
     # case 1: a fixed point forces the base group at every exponent
     base_adj = sol.permutation_group(adjoined3)
     for n in (2, 3):
-        a, _, _ = pw.power_perm_group(adjoined3, n)
+        a, _, _ = pw.power_perm_group(pw.power_solution(adjoined3, n))
         assert a.order == 2
         assert pm.groups_isomorphic(a, base_adj) is not None
     # case 2: coprime exponent
-    a, _, _ = pw.power_perm_group(swap2, 3)
+    a, _, _ = pw.power_perm_group(pw.power_solution(swap2, 3))
     assert a.order == 2
     assert pm.groups_isomorphic(a, sol.permutation_group(swap2)) is not None
     # negative witness: swap2 at n=2 collapses
-    a, _, _ = pw.power_perm_group(swap2, 2)
+    a, _, _ = pw.power_perm_group(pw.power_solution(swap2, 2))
     assert a.order == 1
     assert sol.permutation_group(swap2).order == 2
     assert pw.iso_condition(swap2, 2) is pw.IsoCondition.NO_GUARANTEE
@@ -150,12 +150,12 @@ def test_criterion_8_brace_suite(brace_z4):
         assert sol.verify_tables(s.sigma, s.gamma).all_ok
         for xbar in itertools.product(range(b.k), repeat=2):
             for ybar in itertools.product(range(b.k), repeat=2):
-                assert br.check_eq_3_1(b, xbar, ybar)
+                assert br.check_eq_3_1(br.lambda_table(b), xbar, ybar)
         rng = random.Random(0)
         for _ in range(100):
             xbar = tuple(rng.randrange(b.k) for _ in range(3))
             ybar = tuple(rng.randrange(b.k) for _ in range(3))
-            assert br.check_eq_3_1(b, xbar, ybar)
+            assert br.check_eq_3_1(br.lambda_table(b), xbar, ybar)
     assert any(
         b.add == brace_z4.add and b.mul == brace_z4.mul for b in br.find_braces(4)
     )

@@ -135,27 +135,27 @@ class TestAssociatedSolution:
 class TestEq31:
     def test_trivial_brace(self):
         b = br.trivial_brace(z_table(4))
-        assert br.check_eq_3_1(b, (1, 2), (3, 0))
+        assert br.check_eq_3_1(br.lambda_table(b), (1, 2), (3, 0))
 
     def test_z4_exhaustive_n2(self, brace_z4):
         for xbar in itertools.product(range(4), repeat=2):
             for ybar in itertools.product(range(4), repeat=2):
-                assert br.check_eq_3_1(brace_z4, xbar, ybar)
+                assert br.check_eq_3_1(br.lambda_table(brace_z4), xbar, ybar)
 
     def test_z4_sampled_n3(self, brace_z4):
         rng = random.Random(7)
         for _ in range(100):
             xbar = tuple(rng.randrange(4) for _ in range(3))
             ybar = tuple(rng.randrange(4) for _ in range(3))
-            assert br.check_eq_3_1(brace_z4, xbar, ybar)
+            assert br.check_eq_3_1(br.lambda_table(brace_z4), xbar, ybar)
 
     def test_length_mismatch(self, brace_z4):
         with pytest.raises(ValueError):
-            br.check_eq_3_1(brace_z4, (0, 1), (0, 1, 2))
+            br.check_eq_3_1(br.lambda_table(brace_z4), (0, 1), (0, 1, 2))
 
     def test_out_of_range(self, brace_z4):
         with pytest.raises(ValueError):
-            br.check_eq_3_1(brace_z4, (0, 4), (0, 0))
+            br.check_eq_3_1(br.lambda_table(brace_z4), (0, 4), (0, 0))
 
 
 class TestFindBraces:

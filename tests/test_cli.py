@@ -2,6 +2,7 @@ import pytest
 
 from ybe import brace as br
 from ybe import files
+from ybe import power as pw
 from ybe import solution as sol
 from ybe.cli import main
 
@@ -54,12 +55,19 @@ class TestVerify:
         assert "braid_direct: FAIL" in out
         assert "(0, 1)" in out
 
-    def test_garbage_is_usage_error(self, capsys, tmp_path):
+    def test_garbage_is_usage_error(self, capsys, tmp_path, swap2_file, brace_z4_file):
         p = tmp_path / "garbage.txt"
         p.write_text("not a file format\n")
-        code, _, err = run(capsys, "verify", str(p))
-        assert code == 2
-        assert "error" in err
+        for argv in (
+            ("verify", str(p)),
+            ("--cap", "-1", "permgroup", swap2_file),
+            ("--cap", "0", "power", swap2_file, "2"),
+            ("brace", "eq31-check", brace_z4_file, "--samples", "-5"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert "error" in err
 
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "verify", "/nonexistent/path.txt")
@@ -95,10 +103,28 @@ class TestPower:
         assert text.startswith("# power m=2 n=2 encoding=lex-msb-first\n")
         assert files.parse_solution(text).m == 4
 
-    def test_cap_exceeded(self, capsys, swap2_file):
-        code, _, err = run(capsys, "--cap", "4", "power", swap2_file, "3")
-        assert code == 3
-        assert "error" in err
+    def test_cap_exceeded(self, capsys, tmp_path, swap2_file, brace_z4_file):
+        # the degree cap of power and brace eq31-check; the huge exponents
+        # must be declined at once, without building m**n
+        c3 = tmp_path / "c3.txt"
+        c3.write_text("3\n1 2 0\n1 2 0\n1 2 0\n")
+        one_point = tmp_path / "one_point.txt"
+        one_point.write_text("1\n0\n")
+        brace1 = tmp_path / "brace1.txt"
+        brace1.write_text("1\n0\n\n0\n")
+        for argv in (
+            ("--cap", "4", "power", swap2_file, "3"),
+            ("power", str(c3), "30000000"),
+            ("power", str(one_point), "100000000"),
+            ("brace", "eq31-check", brace_z4_file, "--n", "8"),
+            ("brace", "eq31-check", brace_z4_file, "--n", "8", "--samples", "10"),
+            ("brace", "eq31-check", str(brace1), "--n", "100000000"),
+            ("brace", "eq31-check", str(brace1), "--n", "100000000", "--samples", "10"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 3, argv
+            assert out == ""
+            assert "error" in err
 
 
 class TestPermgroup:
@@ -222,6 +248,25 @@ class TestBraceCommands:
         )
         assert code == 0
         assert "failures: 0" in out
+
+
+class TestSingleBuild:
+    def test_power_and_eq31_build_once(
+        self, capsys, monkeypatch, tmp_path, swap2_file, brace_z4_file
+    ):
+        calls = {"power_solution": 0, "lambda_table": 0}
+        for module, name in ((pw, "power_solution"), (br, "lambda_table")):
+            def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        out_path = tmp_path / "power.txt"
+        code, _, _ = run(capsys, "power", swap2_file, "3", "-o", str(out_path))
+        assert code == 0
+        assert calls["power_solution"] == 1
+        code, _, _ = run(capsys, "brace", "eq31-check", brace_z4_file, "--n", "2")
+        assert code == 0
+        assert calls["lambda_table"] == 1
 
 
 class TestDeterminism:

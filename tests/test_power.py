@@ -186,24 +186,24 @@ class TestN2Direct:
 
 class TestPowerPermGroup:
     def test_swap_n2(self, swap2):
-        a, b, phi = pw.power_perm_group(swap2, 2)
+        a, b, phi = pw.power_perm_group(pw.power_solution(swap2, 2))
         assert a.order == 1 and b.order == 1
         assert phi is not None
 
     def test_swap_n3(self, swap2):
-        a, b, phi = pw.power_perm_group(swap2, 3)
+        a, b, phi = pw.power_perm_group(pw.power_solution(swap2, 3))
         assert a.order == 2 and b.order == 2
         assert phi is not None
 
     def test_adjoined_n2(self, adjoined3):
-        a, b, phi = pw.power_perm_group(adjoined3, 2)
+        a, b, phi = pw.power_perm_group(pw.power_solution(adjoined3, 2))
         assert a.order == 2 and b.order == 2
         assert phi is not None
 
     def test_always_isomorphic_over_corpus(self, corpus):
         for s in corpus:
             for n in (2, 3):
-                a, b, phi = pw.power_perm_group(s, n)
+                a, b, phi = pw.power_perm_group(pw.power_solution(s, n))
                 assert phi is not None
 
 
@@ -217,7 +217,7 @@ class TestIsoCondition:
 
     def test_no_guarantee_and_witness(self, swap2):
         assert pw.iso_condition(swap2, 2) is pw.IsoCondition.NO_GUARANTEE
-        a, _, _ = pw.power_perm_group(swap2, 2)
+        a, _, _ = pw.power_perm_group(pw.power_solution(swap2, 2))
         assert a.order == 1
         assert sol.permutation_group(swap2).order == 2
 
@@ -226,6 +226,6 @@ class TestIsoCondition:
             for n in (2, 3):
                 if pw.iso_condition(s, n) is pw.IsoCondition.NO_GUARANTEE:
                     continue
-                _, b, _ = pw.power_perm_group(s, n)
+                _, b, _ = pw.power_perm_group(pw.power_solution(s, n))
                 base = sol.permutation_group(s)
                 assert pm.groups_isomorphic(b, base) is not None
