@@ -32,6 +32,13 @@ def _read(path):
         raise ParseError(f"cannot read {path}: {e.strerror}") from e
 
 
+def _write(path, text):
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise ParseError(f"cannot write {path}: {e.strerror}") from e
+
+
 def _print_report(report):
     for axiom in sol.AXIOMS:
         ok = getattr(report, axiom)
@@ -69,7 +76,7 @@ def cmd_power(args):
     ps = pw.power_solution(s, args.n, cap=args.cap)
     a, b, phi = pw.power_perm_group(ps)
     base = sol.permutation_group(s, cap=args.cap)
-    cond = pw.iso_condition(s, args.n)
+    cond = pw.iso_condition(base, args.n)
     print(f"base group order: {base.order}")
     print(f"power group order: {a.order}")
     print(f"product subgroup order: {b.order}")
@@ -77,9 +84,7 @@ def cmd_power(args):
     print(f"isomorphic: {'yes' if phi is not None else 'no'}")
     if args.out:
         header = f"power m={s.m} n={args.n} encoding=lex-msb-first"
-        Path(args.out).write_text(
-            files.emit_solution(ps.result, header=header), encoding="utf-8"
-        )
+        _write(args.out, files.emit_solution(ps.result, header=header))
         print(f"wrote: {args.out}")
     return EXIT_OK
 
@@ -95,10 +100,12 @@ def cmd_enumerate(args):
         print(f"count up to isomorphism: {len(classes)}")
     if args.outdir:
         outdir = Path(args.outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ParseError(f"cannot create {outdir}: {e.strerror}") from e
         for i, s in enumerate(found):
-            path = outdir / f"solution_m{args.m}_{i:03d}.txt"
-            path.write_text(files.emit_solution(s), encoding="utf-8")
+            _write(outdir / f"solution_m{args.m}_{i:03d}.txt", files.emit_solution(s))
         print(f"wrote {len(found)} files to {outdir}")
     return EXIT_OK
 
@@ -132,7 +139,7 @@ def cmd_brace_solution(args):
     s = br.associated_solution(b)
     text = files.emit_solution(s)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(args.out, text)
         print(f"wrote: {args.out}")
     else:
         sys.stdout.write(text)
@@ -172,6 +179,9 @@ def cmd_brace_eq31_check(args):
     if args.samples < 0:
         raise ParseError(f"sample count must not be negative, got {args.samples}")
     pw.check_degree(b.k, n, args.cap)
+    if args.samples > args.cap**2:
+        # the exhaustive mode checks at most (kⁿ)² ≤ cap² pairs
+        raise SizeCapExceeded(f"sample count {args.samples} exceeds cap² = {args.cap**2}")
     lt = br.lambda_table(b)
     failures = 0
     if args.samples == 0:

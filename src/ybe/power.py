@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import perm as pm
 from . import solution as sol
 from .errors import SizeCapExceeded
-from .perm import Perm
+from .perm import GeneratedGroup, Perm
 from .solution import Solution
 
 #: Default cap on the power-solution degree mⁿ.
@@ -210,12 +210,13 @@ def power_perm_group(ps: PowerSolution):
     return a, b, phi
 
 
-def iso_condition(s: Solution, n: int) -> IsoCondition:
-    """Predict whether the power group must match the base group."""
-    ident = pm.identity(s.m)
-    if any(row == ident for row in s.sigma):
+def iso_condition(base: GeneratedGroup, n: int) -> IsoCondition:
+    """Predict whether the power group must match the base group, from
+    the base permutation group (``solution.permutation_group``): it keeps
+    every distinct σ-row as a generator, so a fixed point σ_z = id is
+    present exactly when the identity is among the generators."""
+    if pm.identity(base.degree) in base.generators:
         return IsoCondition.FIXED_POINT_PRESENT
-    order = sol.permutation_group(s).order
-    if math.gcd(order, n) == 1:
+    if math.gcd(base.order, n) == 1:
         return IsoCondition.COPRIME_ORDER
     return IsoCondition.NO_GUARANTEE

@@ -228,19 +228,54 @@ def permutation_group(s: Solution, cap: int = pm.DEFAULT_CAP) -> GeneratedGroup:
     return pm.close_group(gens, cap=cap)
 
 
+def _completes_sigma_condition(rows, invs, k) -> bool:
+    """σ_x∘σ_{σ_x⁻¹(y)} = σ_y∘σ_{σ_y⁻¹(x)} on every pair x < y whose four
+    rows are placed (indices ≤ k) and include row k: the pairs that row
+    k completes. Each pair is checked at exactly one k."""
+    for y in range(k + 1):
+        for x in range(y):
+            u, v = invs[x][y], invs[y][x]
+            if u > k or v > k or k not in (y, u, v):
+                continue
+            if pm.compose(rows[x], rows[u]) != pm.compose(rows[y], rows[v]):
+                return False
+    return True
+
+
+def _place_rows(rows, invs, perms, inverses, out) -> None:
+    """Depth-first over σ-rows in order, each row in ``perms`` order, so
+    the full tables come in lexicographic order. A branch is dropped as
+    soon as the σ-condition fails on a completed pair; every full table
+    left is checked on all five axioms."""
+    k = len(rows)
+    if k == len(perms[0]):
+        table = tuple(rows)
+        gamma = derive_gamma(table)
+        if verify_tables(table, gamma).all_ok:
+            out.append(Solution(m=k, sigma=table, gamma=gamma))
+        return
+    for p, p_inv in zip(perms, inverses):
+        rows.append(p)
+        invs.append(p_inv)
+        if _completes_sigma_condition(rows, invs, k):
+            _place_rows(rows, invs, perms, inverses, out)
+        rows.pop()
+        invs.pop()
+
+
 def enumerate_solutions(m: int, bound: int = 4) -> list[Solution]:
-    """Exhaustively scan all (m!)^m σ-tables in lexicographic order and
-    return every one passing all five axioms."""
+    """Every solution on m points, in lexicographic order of σ-tables.
+
+    A backtracking search over σ-rows pruned by the σ-condition; the
+    tests check it against the brute-force scan of all (m!)^m tables.
+    """
     if m < 1:
         raise ValueError("empty set is not allowed")
     if m > bound:
         raise SizeCapExceeded(f"enumeration bound {bound} exceeded (m={m})")
     perms = pm.all_perms(m)
     out = []
-    for table in itertools.product(perms, repeat=m):
-        gamma = derive_gamma(table)
-        if verify_tables(table, gamma).all_ok:
-            out.append(Solution(m=m, sigma=table, gamma=gamma))
+    _place_rows([], [], perms, [pm.inverse(p) for p in perms], out)
     return out
 
 

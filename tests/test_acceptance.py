@@ -30,16 +30,21 @@ def test_criterion_1_oracle_closure():
         assert len(found) == EXPECTED_COUNTS[m]
         for s in found:
             assert sol.verify_tables(s.sigma, s.gamma).all_ok
-        # the braid/sigma-condition equivalence on every candidate table
+        # the braid/sigma-condition equivalence on every candidate table,
+        # and the pruned search against the brute-force scan, in order
+        brute_force = []
         for table in itertools.product(pm.all_perms(m), repeat=m):
             r = sol.verify_tables(table, sol.derive_gamma(table))
             if r.involutive and r.left_nondegenerate:
                 assert r.braid_direct == r.braid_sigma_condition
+            if r.all_ok:
+                brute_force.append(table)
+        assert [s.sigma for s in found] == brute_force
     m2 = [s.sigma for s in sol.enumerate_solutions(2)]
     assert m2 == [((0, 1), (0, 1)), ((1, 0), (1, 0))]
     elapsed = time.monotonic() - start
     assert elapsed <= 1.0, f"oracle closure took {elapsed:.2f}s"
-    report("criterion 1: oracle closure (m <= 3, counts, equivalence)", True)
+    report("criterion 1: oracle closure (m <= 3, counts, equivalence, search = scan)", True)
 
 
 def test_criterion_2_power_construction_verifies(corpus):
@@ -118,8 +123,9 @@ def test_criterion_6_power_group_comparison(corpus, swap2, adjoined3):
     # negative witness: swap2 at n=2 collapses
     a, _, _ = pw.power_perm_group(pw.power_solution(swap2, 2))
     assert a.order == 1
-    assert sol.permutation_group(swap2).order == 2
-    assert pw.iso_condition(swap2, 2) is pw.IsoCondition.NO_GUARANTEE
+    base_swap = sol.permutation_group(swap2)
+    assert base_swap.order == 2
+    assert pw.iso_condition(base_swap, 2) is pw.IsoCondition.NO_GUARANTEE
     report("criterion 6: power group isomorphic to product subgroup + cases", True)
 
 

@@ -73,6 +73,16 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "/nonexistent/path.txt")
         assert code == 2
 
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, swap2_file, brace_z4_file):
+        for argv in (
+            ("power", swap2_file, "2", "-o", str(tmp_path)),
+            ("enumerate", "2", "--outdir", swap2_file),
+            ("brace", "solution", brace_z4_file, "-o", str(tmp_path / "missing" / "out")),
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert "cannot" in err
+
 
 class TestPower:
     def test_swap_n2_no_guarantee(self, capsys, swap2_file):
@@ -120,6 +130,7 @@ class TestPower:
             ("brace", "eq31-check", brace_z4_file, "--n", "8", "--samples", "10"),
             ("brace", "eq31-check", str(brace1), "--n", "100000000"),
             ("brace", "eq31-check", str(brace1), "--n", "100000000", "--samples", "10"),
+            ("brace", "eq31-check", brace_z4_file, "--samples", "1000000000"),
         ):
             code, out, err = run(capsys, *argv)
             assert code == 3, argv
@@ -165,6 +176,13 @@ class TestEnumerate:
         assert code == 0
         assert "count: 12" in out
         assert "count up to isomorphism: 5" in out
+
+    def test_m4_with_dedup(self, capsys):
+        # Etingof-Schedler-Soloviev: 23 classes on four points
+        code, out, _ = run(capsys, "enumerate", "4", "--dedup")
+        assert code == 0
+        assert "count: 168" in out
+        assert "count up to isomorphism: 23" in out
 
     def test_writes_canonical_files(self, capsys, tmp_path):
         outdir = tmp_path / "sols"

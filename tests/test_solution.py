@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -165,6 +166,17 @@ class TestEnumerate:
     def test_bound(self):
         with pytest.raises(SizeCapExceeded):
             sol.enumerate_solutions(5)
+
+    def test_leaves_no_cyclic_garbage(self):
+        # a reference cycle would keep every found Solution alive until
+        # the next full collection
+        gc.collect()
+        gc.disable()
+        try:
+            sol.enumerate_solutions(3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSolutionsIsomorphic:
