@@ -199,7 +199,8 @@ def check_eq_3_1(lt: LambdaTable, xbar, ybar) -> bool:
         if not 0 <= v < b.k:
             raise ValueError(f"entry {v} out of range for brace of order {b.k}")
     lam = lt.table
-    h = pw._f_tuple(lam, xbar, ybar)
+    inv = [pm.inverse(p) for p in lam]
+    h = pw._f_tuple(lam, inv, pw._sigma_product(lam, xbar), ybar)
 
     big_x = b.mul_many(xbar)
     ok = True

@@ -8,6 +8,7 @@ inputs produce byte-identical stdout and files.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from pathlib import Path
@@ -204,7 +205,11 @@ def cmd_brace_eq31_check(args):
     return EXIT_OK if failures == 0 else EXIT_PROPERTY
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and then shared: its
+    actions and sub-parsers refer to one another, so a parser per call
+    would leave cyclic garbage that only a full collection frees."""
     parser = argparse.ArgumentParser(
         prog="ybe",
         description="Finite involutive Yang-Baxter solutions, power solutions, and left braces.",

@@ -146,7 +146,7 @@ def groups_isomorphic(g: GeneratedGroup, h: GeneratedGroup, cap: int = DEFAULT_C
     """Search for a group isomorphism g -> h.
 
     Returns a dict mapping each element of g to an element of h, or None
-    if the groups are not isomorphic. Exact backtracking over generator
+    if the groups are not isomorphic. Exact search over generator
     images, pruned by order and element-order multiset.
     """
     if g.order > cap or h.order > cap:
@@ -182,15 +182,10 @@ def groups_isomorphic(g: GeneratedGroup, h: GeneratedGroup, cap: int = DEFAULT_C
                     return None
         return phi
 
-    def backtrack(i, images):
-        if i == len(gens):
-            return build(images)
-        for cand in by_order.get(gen_orders[i], ()):
-            images.append(cand)
-            res = backtrack(i + 1, images)
-            if res is not None:
-                return res
-            images.pop()
-        return None
-
-    return backtrack(0, [])
+    # every choice of generator images, in depth-first order (a loop,
+    # not a recursive closure, which would be a reference cycle per call)
+    for images in itertools.product(*(by_order.get(o, ()) for o in gen_orders)):
+        phi = build(images)
+        if phi is not None:
+            return phi
+    return None

@@ -144,11 +144,11 @@ def _sigma_product(sigma, xbar) -> Perm:
     return prod
 
 
-def _f_tuple(sigma, xbar, ybar) -> tuple[int, ...]:
+def _f_tuple(sigma, inv, sig_x, ybar) -> tuple[int, ...]:
     """f_x̄(ȳ) via the h_j recursion (independent of psi_apply), for any
-    σ-table: a solution's, or the λ-table of a brace."""
-    sig_x = _sigma_product(sigma, xbar)
-    inv = [pm.inverse(p) for p in sigma]
+    σ-table: a solution's, or the λ-table of a brace. ``inv`` holds the
+    inverses of the rows and ``sig_x`` the product σ_{x₁}⋯σ_{xₙ}, both
+    built once per x̄ by the caller."""
     h = [sig_x[ybar[0]]]
     for j in range(1, len(ybar)):
         # v = σ_{y_1}⋯σ_{y_{j-1}}(y_j), then the x-product, then the
@@ -170,8 +170,10 @@ def f_map(s: Solution, xbar, n: int, cap: int = DEFAULT_POWER_CAP) -> Perm:
     _check_entries(s.m, xbar)
     check_degree(s.m, n, cap)
     codec = TupleCodec(s.m, n)
+    inv = [pm.inverse(p) for p in s.sigma]
+    sig_x = _sigma_product(s.sigma, xbar)
     return tuple(
-        codec.encode(_f_tuple(s.sigma, xbar, ybar)) for ybar in codec.all_tuples()
+        codec.encode(_f_tuple(s.sigma, inv, sig_x, ybar)) for ybar in codec.all_tuples()
     )
 
 

@@ -30,13 +30,16 @@ def test_criterion_1_oracle_closure():
         assert len(found) == EXPECTED_COUNTS[m]
         for s in found:
             assert sol.verify_tables(s.sigma, s.gamma).all_ok
-        # the braid/sigma-condition equivalence on every candidate table,
-        # and the pruned search against the brute-force scan, in order
+        # the braid/sigma-condition equivalence and from_sigma's O(N²)
+        # gate against all five axioms on every candidate table, and the
+        # pruned search against the brute-force scan, in order
         brute_force = []
         for table in itertools.product(pm.all_perms(m), repeat=m):
-            r = sol.verify_tables(table, sol.derive_gamma(table))
+            gamma = sol.derive_gamma(table)
+            r = sol.verify_tables(table, gamma)
             if r.involutive and r.left_nondegenerate:
                 assert r.braid_direct == r.braid_sigma_condition
+            assert sol._is_solution(table, gamma) == r.all_ok
             if r.all_ok:
                 brute_force.append(table)
         assert [s.sigma for s in found] == brute_force
@@ -44,7 +47,7 @@ def test_criterion_1_oracle_closure():
     assert m2 == [((0, 1), (0, 1)), ((1, 0), (1, 0))]
     elapsed = time.monotonic() - start
     assert elapsed <= 1.0, f"oracle closure took {elapsed:.2f}s"
-    report("criterion 1: oracle closure (m <= 3, counts, equivalence, search = scan)", True)
+    report("criterion 1: oracle closure (m <= 3, counts, equivalence, gate, search = scan)", True)
 
 
 def test_criterion_2_power_construction_verifies(corpus):

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from ybe import brace as br
@@ -285,6 +287,30 @@ class TestSingleBuild:
         code, _, _ = run(capsys, "brace", "eq31-check", brace_z4_file, "--n", "2")
         assert code == 0
         assert calls["lambda_table"] == 1
+
+
+class TestMain:
+    def test_leaves_no_cyclic_garbage(self, capsys, tmp_path, swap2_file, brace_z4_file):
+        # each call of a long-lived process must free what it made
+        # without a full collection; the first call builds the parser
+        bad = tmp_path / "bad.txt"
+        bad.write_text("2\n0 1\n1 0\n")
+        for argv in (
+            ("power", swap2_file, "2", "-o", str(tmp_path / "out.txt")),
+            ("power", str(bad), "2"),
+            ("enumerate", "3", "--dedup"),
+            ("permgroup", swap2_file),
+            ("brace", "eq31-check", brace_z4_file, "--samples", "20"),
+        ):
+            run(capsys, *argv)
+            gc.collect()
+            gc.disable()
+            try:
+                main(list(argv))
+                assert gc.collect() == 0, argv
+            finally:
+                gc.enable()
+            capsys.readouterr()
 
 
 class TestDeterminism:

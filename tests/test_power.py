@@ -160,6 +160,19 @@ class TestPowerSolution:
                 ps = pw.power_solution(s, n)
                 assert sol.verify_tables(ps.result.sigma, ps.result.gamma).all_ok
 
+    def test_build_does_not_run_verify_tables(self, corpus, monkeypatch):
+        # from_sigma accepts by its O(N²) gate; the O(N³) five-axiom
+        # check runs only to report a rejection
+        calls = []
+        real = sol.verify_tables
+        monkeypatch.setattr(
+            sol, "verify_tables", lambda *a: calls.append(a) or real(*a)
+        )
+        for s in corpus:
+            for n in (2, 3):
+                pw.power_solution(s, n)
+        assert calls == []
+
 
 class TestN2Direct:
     def test_trivial(self):

@@ -4,6 +4,7 @@ import itertools
 import pytest
 
 from ybe import perm as pm
+from ybe import power as pw
 from ybe import solution as sol
 from ybe.errors import AxiomError, SizeCapExceeded
 
@@ -27,6 +28,22 @@ class TestFromSigma:
         assert not report.braid_direct
         assert not report.braid_sigma_condition
         assert report.first_counterexample("braid_sigma_condition") == (0, 1)
+
+    def test_rejection_carries_the_verify_tables_report(self):
+        # from_sigma accepts by its O(N²) gate; a rejected table still
+        # gets the five-axiom report, so error output does not change
+        rejected = 0
+        for m in (1, 2, 3):
+            for table in itertools.product(pm.all_perms(m), repeat=m):
+                report = sol.verify_tables(table, sol.derive_gamma(table))
+                if report.all_ok:
+                    assert sol.from_sigma(table).sigma == table
+                    continue
+                with pytest.raises(AxiomError) as exc:
+                    sol.from_sigma(table)
+                assert exc.value.report == report
+                rejected += 1
+        assert rejected == (4 - 2) + (216 - 12)
 
     def test_non_bijective_row_rejected(self):
         with pytest.raises(AxiomError):
@@ -64,6 +81,27 @@ class TestVerify:
         report = sol.verify_tables(sigma, sol.derive_gamma(sigma))
         assert not report.all_ok
         assert report.counterexamples
+
+
+class TestAcceptanceGate:
+    def test_agrees_with_verify_tables_on_transposition_mutants(self, corpus):
+        # every table one transposition in one row away from a solution:
+        # the n=2 powers of the corpus and all 168 solutions on 4 points
+        solutions = [pw.power_solution(s, 2).result for s in corpus]
+        solutions += sol.enumerate_solutions(4)
+        assert len(solutions) == 15 + 168
+        verdicts = {True: 0, False: 0}
+        for s in solutions:
+            for x, row in enumerate(s.sigma):
+                for i, j in itertools.combinations(range(s.m), 2):
+                    mutant = list(row)
+                    mutant[i], mutant[j] = row[j], row[i]
+                    table = s.sigma[:x] + (tuple(mutant),) + s.sigma[x + 1:]
+                    gamma = sol.derive_gamma(table)
+                    ok = sol.verify_tables(table, gamma).all_ok
+                    assert sol._is_solution(table, gamma) == ok, table
+                    verdicts[ok] += 1
+        assert verdicts[True] and verdicts[False]
 
 
 class TestRApply:
