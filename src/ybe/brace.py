@@ -52,7 +52,8 @@ class Brace:
 @dataclass(frozen=True)
 class LambdaTable:
     owner: Brace
-    table: tuple[Perm, ...]   # table[a] is λ_a
+    table: tuple[Perm, ...]      # table[a] is λ_a
+    inverses: tuple[Perm, ...]   # inverses[a] is λ_a⁻¹
 
 
 @dataclass(frozen=True)
@@ -142,13 +143,15 @@ def lambda_table(b: Brace) -> LambdaTable:
         if not pm.is_perm(row):
             raise AxiomError(f"lambda map of element {a} is not a bijection")
         rows.append(row)
-    return LambdaTable(owner=b, table=tuple(rows))
+    return LambdaTable(
+        owner=b, table=tuple(rows), inverses=tuple(pm.inverse(p) for p in rows)
+    )
 
 
 def check_lambda_properties(b: Brace) -> LambdaReport:
     """Exhaustively verify the six λ-map identities of a left brace."""
-    lt = lambda_table(b).table
-    lt_inv = [pm.inverse(p) for p in lt]
+    lam = lambda_table(b)
+    lt, lt_inv = lam.table, lam.inverses
     flags = {name: True for name in LAMBDA_PROPERTIES}
     witnesses = {}
 
@@ -199,22 +202,21 @@ def check_eq_3_1(lt: LambdaTable, xbar, ybar) -> bool:
         if not 0 <= v < b.k:
             raise ValueError(f"entry {v} out of range for brace of order {b.k}")
     lam = lt.table
-    inv = [pm.inverse(p) for p in lam]
-    h = pw._f_tuple(lam, inv, pw._sigma_product(lam, xbar), ybar)
+    h = pw._f_tuple(lam, lt.inverses, pw._sigma_product(lam, xbar), ybar)
 
     big_x = b.mul_many(xbar)
     ok = True
-    for j in range(1, n + 1):
-        y_prod = b.mul_many(ybar[:j])
+    y_prod = h_prod = 0   # y₁⋯y_j and h₁⋯h_j
+    prev = None           # λ_{x₁⋯xₙ}(y₁⋯y_{j-1})
+    for y, hj in zip(ybar, h):
+        y_prod = b.mul[y_prod][y]
+        h_prod = b.mul[h_prod][hj]
         lhs = lam[big_x][y_prod]
-        rhs = b.mul_many(h[:j])
-        if lhs != rhs:
+        if lhs != h_prod:
             ok = False
-        if j >= 2:
-            prev = lam[big_x][b.mul_many(ybar[: j - 1])]
-            quotient = b.mul[b.inv[prev]][lhs]
-            if h[j - 1] != quotient:
-                ok = False
+        if prev is not None and hj != b.mul[b.inv[prev]][lhs]:
+            ok = False
+        prev = lhs
     return ok
 
 

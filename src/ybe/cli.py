@@ -186,13 +186,12 @@ def cmd_brace_eq31_check(args):
     lt = br.lambda_table(b)
     failures = 0
     if args.samples == 0:
-        codec = pw.TupleCodec(b.k, n)
-        pairs = ((x, y) for x in codec.all_tuples() for y in codec.all_tuples())
-        total = codec.size**2
-        for xbar, ybar in pairs:
-            if not br.check_eq_3_1(lt, xbar, ybar):
-                failures += 1
-        print(f"checked all {total} tuple pairs (n={n})")
+        tuples = list(pw.TupleCodec(b.k, n).all_tuples())
+        for xbar in tuples:
+            for ybar in tuples:
+                if not br.check_eq_3_1(lt, xbar, ybar):
+                    failures += 1
+        print(f"checked all {len(tuples) ** 2} tuple pairs (n={n})")
     else:
         rng = random.Random(args.seed)
         for _ in range(args.samples):

@@ -201,14 +201,25 @@ def power_solution_n2_direct(s: Solution, x1, x2, y1, y2) -> tuple[int, int]:
 
 def power_perm_group(ps: PowerSolution):
     """(A, B, φ): A the permutation group of the power solution, B the
-    subgroup of Sym_m generated by all products σ_{x₁}⋯σ_{xₙ}, and φ an
-    isomorphism A -> B when one exists (always, per the construction)."""
+    subgroup of Sym_m generated by all products σ_{x₁}⋯σ_{xₙ}, and φ the
+    isomorphism A -> B that sends f_x̄ to σ_{x₁}⋯σ_{xₙ}, or None if that
+    pairing is not one.
+
+    The pairs (f_x̄, σ_{x₁}⋯σ_{xₙ}) generate a subgroup D of A × B that
+    projects onto both, so D is the graph of an isomorphism exactly when
+    |D| = |A| = |B|; one closure of D checks the paper's claim without
+    assuming it."""
     a = sol.permutation_group(ps.result)
-    products = list(dict.fromkeys(
-        _sigma_product(ps.base.sigma, xbar) for xbar in ps.codec.all_tuples()
-    ))
-    b = pm.close_group(products)
-    phi = pm.groups_isomorphic(a, b)
+    deg = ps.result.m
+    pairs = dict.fromkeys(
+        (f, _sigma_product(ps.base.sigma, ps.codec.decode(c)))
+        for c, f in enumerate(ps.result.sigma)
+    )
+    b = pm.close_group(dict.fromkeys(p for _, p in pairs))
+    d = pm.close_group([f + tuple(deg + v for v in p) for f, p in pairs])
+    if not d.order == a.order == b.order:
+        return a, b, None
+    phi = {e[:deg]: tuple(v - deg for v in e[deg:]) for e in d.elements}
     return a, b, phi
 
 

@@ -160,15 +160,15 @@ def _is_solution(sigma, gamma) -> bool:
     for d distinct σ-rows.
 
     Bijective rows make r left non-degenerate and the derived γ makes it
-    involutive, so by Rump (2005) r is a solution iff every γ_y is a
-    bijection and σ_x∘σ_{σ_x⁻¹(y)} = σ_y∘σ_{σ_y⁻¹(x)} for all x, y. The
-    σ-condition is compared on interned ids: row x of the matrix below
-    holds the id of σ_x∘σ_{σ_x⁻¹(y)} at column y, and the condition
-    says that the matrix is symmetric.
+    involutive, so by Rump (2005) r is a solution iff
+    σ_x∘σ_{σ_x⁻¹(y)} = σ_y∘σ_{σ_y⁻¹(x)} for all x, y. Right
+    non-degeneracy needs no check of its own: with the σ-condition,
+    x·y = σ_x⁻¹(y) makes X a cycle set, and finite cycle sets are
+    non-degenerate (Rump 2005), which makes every γ_y a bijection. So
+    ``gamma`` is not read. The σ-condition is compared on interned ids:
+    row x of the matrix below holds the id of σ_x∘σ_{σ_x⁻¹(y)} at
+    column y, and the condition says that the matrix is symmetric.
     """
-    m = len(sigma)
-    if any(len(set(row)) != m for row in gamma):
-        return False
     ids = {}
     row_id = [ids.setdefault(row, len(ids)) for row in sigma]
     products = {}

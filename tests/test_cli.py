@@ -115,6 +115,27 @@ class TestPower:
         assert text.startswith("# power m=2 n=2 encoding=lex-msb-first\n")
         assert files.parse_solution(text).m == 4
 
+    def test_o8_unions_n2(self, capsys, tmp_path):
+        # degree 64: a search over generator images for φ does not
+        # finish on these
+        o8 = sol.from_sigma([(0, 1, 3, 2), (2, 3, 1, 0), (3, 2, 0, 1), (1, 0, 2, 3)])
+        c3 = sol.from_sigma([(1, 2, 0)] * 3)
+        for parts, orders, cond in (
+            ((o8, o8), (64, 32, 32), "NoGuarantee"),
+            ((o8, c3, sol.trivial(1)), (24, 24, 24), "FixedPointPresent"),
+        ):
+            p = tmp_path / "union.txt"
+            p.write_text(files.emit_solution(sol.disjoint_union(parts)))
+            code, out, _ = run(capsys, "power", str(p), "2")
+            assert code == 0
+            assert out == (
+                f"base group order: {orders[0]}\n"
+                f"power group order: {orders[1]}\n"
+                f"product subgroup order: {orders[2]}\n"
+                f"classification: {cond}\n"
+                "isomorphic: yes\n"
+            )
+
     def test_cap_exceeded(self, capsys, tmp_path, swap2_file, brace_z4_file):
         # the degree cap of power and brace eq31-check; the huge exponents
         # must be declined at once, without building m**n

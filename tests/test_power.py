@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -214,10 +215,88 @@ class TestPowerPermGroup:
         assert phi is not None
 
     def test_always_isomorphic_over_corpus(self, corpus):
+        # φ is the pairing f_x̄ -> σ_{x₁}⋯σ_{xₙ}, an isomorphism A -> B,
+        # and the general search agrees that A and B are isomorphic
         for s in corpus:
             for n in (2, 3):
-                a, b, phi = pw.power_perm_group(pw.power_solution(s, n))
+                ps = pw.power_solution(s, n)
+                a, b, phi = pw.power_perm_group(ps)
                 assert phi is not None
+                assert _is_isomorphism(a, b, phi)
+                assert all(phi[f] == p for f, p in _pairs(ps))
+                assert pm.groups_isomorphic(a, b) is not None
+
+    def test_makes_no_isomorphism_search(self, corpus, monkeypatch):
+        calls = []
+        real = pm.groups_isomorphic
+        monkeypatch.setattr(
+            pm, "groups_isomorphic", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
+        for s in corpus:
+            for n in (2, 3):
+                pw.power_perm_group(pw.power_solution(s, n))
+        assert calls == []
+
+    def test_mismatched_pairing_returns_none(self, corpus, adjoined3):
+        # the power solution of one base paired with the products of
+        # another: φ must be the pairing's isomorphism when there is one
+        # (brute force over all bijections A -> B), else None
+        other = sol.from_sigma([(0, 1, 2), (0, 2, 1), (0, 2, 1)])
+        ps = pw.power_solution(adjoined3, 2)
+        a, b, phi = pw.power_perm_group(dataclasses.replace(ps, base=other))
+        assert a.order == b.order == 2
+        assert phi is None
+        nones = {True: 0, False: 0}
+        for s, t in itertools.permutations(corpus, 2):
+            if s.m != t.m:
+                continue
+            for n in (2, 3):
+                mixed = dataclasses.replace(pw.power_solution(s, n), base=t)
+                a, b, phi = pw.power_perm_group(mixed)
+                pairs = _pairs(mixed)
+                if phi is None:
+                    assert not _pairing_extends(a, b, pairs)
+                    nones[a.order == b.order] += 1
+                else:
+                    assert _is_isomorphism(a, b, phi)
+                    assert all(phi[f] == p for f, p in pairs)
+        assert nones[True] and nones[False]
+
+
+def _pairs(ps):
+    """(f_x̄, σ_{x₁}⋯σ_{xₙ}) for every x̄, with the products of ps.base."""
+    out = []
+    for c, f in enumerate(ps.result.sigma):
+        xbar = ps.codec.decode(c)
+        prod = ps.base.sigma[xbar[0]]
+        for x in xbar[1:]:
+            prod = pm.compose(prod, ps.base.sigma[x])
+        out.append((f, prod))
+    return out
+
+
+def _is_isomorphism(a, b, phi) -> bool:
+    """phi is a bijection A -> B with φ(xy) = φ(x)φ(y) on all of A × A."""
+    return (
+        phi is not None
+        and set(phi) == set(a.elements)
+        and sorted(phi.values()) == sorted(b.elements)
+        and all(
+            phi[pm.compose(x, y)] == pm.compose(phi[x], phi[y])
+            for x, y in itertools.product(a.elements, repeat=2)
+        )
+    )
+
+
+def _pairing_extends(a, b, pairs) -> bool:
+    """Some isomorphism A -> B sends every f_x̄ to its product."""
+    if a.order != b.order:
+        return False
+    for images in itertools.permutations(b.elements):
+        phi = dict(zip(a.elements, images))
+        if all(phi[f] == p for f, p in pairs) and _is_isomorphism(a, b, phi):
+            return True
+    return False
 
 
 class TestIsoCondition:
