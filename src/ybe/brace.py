@@ -28,6 +28,8 @@ LAMBDA_PROPERTIES = (
     "sigma_condition",                # λ_aλ_{λ⁻¹_a(b)} = λ_bλ_{λ⁻¹_b(a)}
 )
 
+BRACE_SEARCH_BOUND = 6  # largest order that find_braces searches
+
 
 @dataclass(frozen=True)
 class Brace:
@@ -192,8 +194,8 @@ def associated_solution(b: Brace) -> Solution:
 def check_eq_3_1(lt: LambdaTable, xbar, ybar) -> bool:
     """Inside the multiplicative group of the brace ``lt.owner``, with
     σ = λ over the whole brace: the product h₁⋯h_j must equal
-    λ_{x₁⋯xₙ}(y₁⋯y_j) for every j, and each h_j (j ≥ 2) must equal the
-    quotient λ_{x₁⋯xₙ}(y₁⋯y_{j-1})⁻¹ · λ_{x₁⋯xₙ}(y₁⋯y_j)."""
+    λ_{x₁⋯xₙ}(y₁⋯y_j) for every j. By cancellation that makes each h_j
+    (j ≥ 2) the quotient λ_{x₁⋯xₙ}(y₁⋯y_{j-1})⁻¹ · λ_{x₁⋯xₙ}(y₁⋯y_j)."""
     b = lt.owner
     n = len(xbar)
     if len(ybar) != n:
@@ -205,19 +207,13 @@ def check_eq_3_1(lt: LambdaTable, xbar, ybar) -> bool:
     h = pw._f_tuple(lam, lt.inverses, pw._sigma_product(lam, xbar), ybar)
 
     big_x = b.mul_many(xbar)
-    ok = True
     y_prod = h_prod = 0   # y₁⋯y_j and h₁⋯h_j
-    prev = None           # λ_{x₁⋯xₙ}(y₁⋯y_{j-1})
     for y, hj in zip(ybar, h):
         y_prod = b.mul[y_prod][y]
         h_prod = b.mul[h_prod][hj]
-        lhs = lam[big_x][y_prod]
-        if lhs != h_prod:
-            ok = False
-        if prev is not None and hj != b.mul[b.inv[prev]][lhs]:
-            ok = False
-        prev = lhs
-    return ok
+        if lam[big_x][y_prod] != h_prod:
+            return False
+    return True
 
 
 def _abelian_tables(k: int):
@@ -242,7 +238,7 @@ def _automorphisms(add, k):
     return auts
 
 
-def find_braces(k: int, bound: int = 6) -> list[Brace]:
+def find_braces(k: int) -> list[Brace]:
     """Exhaustive search for all left braces of order k (identity 0).
 
     For each abelian structure, scan all assignments a ↦ λ_a into
@@ -252,8 +248,8 @@ def find_braces(k: int, bound: int = 6) -> list[Brace]:
     """
     if k < 1:
         raise ValueError("order must be at least 1")
-    if k > bound:
-        raise SizeCapExceeded(f"brace search bound {bound} exceeded (k={k})")
+    if k > BRACE_SEARCH_BOUND:
+        raise SizeCapExceeded(f"brace search bound {BRACE_SEARCH_BOUND} exceeded (k={k})")
     found = []
     seen = set()
     for _, add in _abelian_tables(k):

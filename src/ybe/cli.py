@@ -52,10 +52,16 @@ def _print_report(report):
 
 
 def cmd_verify(args):
+    # accepts by from_sigma's gate; only a rejection runs verify_tables
     sigma = files.parse_sigma_table(_read(args.file))
-    report = sol.verify_tables(tuple(sigma), sol.derive_gamma(sigma))
-    _print_report(report)
-    return EXIT_OK if report.all_ok else EXIT_PROPERTY
+    try:
+        sol.from_sigma(sigma)
+    except AxiomError as e:
+        _print_report(e.report)
+        return EXIT_PROPERTY
+    for axiom in sol.AXIOMS:
+        print(f"{axiom}: pass")
+    return EXIT_OK
 
 
 def cmd_permgroup(args):

@@ -93,12 +93,6 @@ def check_degree(m: int, n: int, cap: int) -> None:
         raise SizeCapExceeded(f"degree {m}^{n} exceeds cap {cap}")
 
 
-def _check_entries(m, ybar):
-    for y in ybar:
-        if not 0 <= y < m:
-            raise ValueError(f"tuple entry {y} out of range for m={m}")
-
-
 def psi_apply(sigma_table, tau: Perm, ybar) -> tuple[int, ...]:
     """Image of ȳ under the embedded permutation for τ.
 
@@ -106,7 +100,7 @@ def psi_apply(sigma_table, tau: Perm, ybar) -> tuple[int, ...]:
     σ(t_j)⁻¹⋯σ(t_1)⁻¹ τ σ(y₁)⋯σ(y_j) applied to y_{j+1}.
     """
     m = len(tau)
-    _check_entries(m, ybar)
+    TupleCodec(m, len(ybar)).encode(ybar)  # validates the entries
     sigma = [tuple(s) for s in sigma_table]
     t = [tau[ybar[0]]]
     acc_t = sigma[t[0]]  # σ(t_1)∘⋯∘σ(t_j), leftmost acts last
@@ -165,11 +159,9 @@ def _f_tuple(sigma, inv, sig_x, ybar) -> tuple[int, ...]:
 
 def f_map(s: Solution, xbar, n: int, cap: int = DEFAULT_POWER_CAP) -> Perm:
     """The permutation f_x̄ of degree mⁿ, from the h_j recursion."""
-    if len(xbar) != n:
-        raise ValueError(f"expected a {n}-tuple, got {len(xbar)} entries")
-    _check_entries(s.m, xbar)
-    check_degree(s.m, n, cap)
     codec = TupleCodec(s.m, n)
+    codec.encode(xbar)  # validates x̄
+    check_degree(s.m, n, cap)
     inv = [pm.inverse(p) for p in s.sigma]
     sig_x = _sigma_product(s.sigma, xbar)
     return tuple(

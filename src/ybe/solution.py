@@ -1,15 +1,16 @@
 """Finite involutive non-degenerate set-theoretic solutions (X, r).
 
 X is always {0,...,m-1}. A solution is stored as the table of left
-actions sigma[x] = σ_x; the right actions gamma[y] = γ_y are derived,
-never user-supplied, via γ_y(x) = σ⁻¹_{σ_x(y)}(x) (forced by
-involutivity). r(x, y) = (σ_x(y), γ_y(x)).
+actions sigma[x] = σ_x alone; the right actions gamma[y] = γ_y are
+derived on first read, never user-supplied, via γ_y(x) = σ⁻¹_{σ_x(y)}(x)
+(forced by involutivity). r(x, y) = (σ_x(y), γ_y(x)).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import perm as pm
 from .errors import AxiomError, SizeCapExceeded
@@ -23,10 +24,13 @@ AXIOMS = (
     "braid_sigma_condition",
 )
 
+ENUMERATION_BOUND = 4  # largest m that enumerate_solutions searches
+ISOMORPHISM_CAP_M = 8  # largest m whose m! relabelings solutions_isomorphic tries
+
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Per-axiom pass/fail record for a candidate sigma/gamma pair."""
+    """Per-axiom pass/fail record for a candidate σ-table."""
 
     involutive: bool
     left_nondegenerate: bool
@@ -48,15 +52,21 @@ class VerifyReport:
 
 @dataclass(frozen=True)
 class Solution:
-    """A verified involutive non-degenerate solution on m points."""
+    """A verified solution on m points; σ is its only stored table."""
 
-    m: int
     sigma: tuple[Perm, ...]
-    gamma: tuple[Perm, ...]
 
     def __post_init__(self):
-        if self.m < 1:
+        if not self.sigma:
             raise ValueError("empty set is not allowed")
+
+    @property
+    def m(self) -> int:
+        return len(self.sigma)
+
+    @cached_property
+    def gamma(self) -> tuple[Perm, ...]:
+        return derive_gamma(self.sigma)
 
 
 def derive_gamma(sigma) -> tuple[tuple[int, ...], ...]:
@@ -73,10 +83,11 @@ def _r(sigma, gamma, x, y):
     return sigma[x][y], gamma[y][x]
 
 
-def verify_tables(sigma, gamma) -> VerifyReport:
-    """Check all five axioms by exhaustive loops; always returns a
-    report, recording the first counterexample of each failed axiom."""
+def verify_tables(sigma) -> VerifyReport:
+    """Check all five axioms, γ derived from σ, by exhaustive loops; always
+    returns a report, recording the first counterexample of each failed axiom."""
     m = len(sigma)
+    gamma = derive_gamma(sigma)
     bad = []
 
     left = True
@@ -154,10 +165,9 @@ def verify_tables(sigma, gamma) -> VerifyReport:
     )
 
 
-def _is_solution(sigma, gamma) -> bool:
-    """``verify_tables(sigma, gamma).all_ok`` for a table of bijections
-    σ_x and the γ derived from it, in O(N²) steps plus d² compositions
-    for d distinct σ-rows.
+def _is_solution(sigma) -> bool:
+    """``verify_tables(sigma).all_ok`` for a table of bijections σ_x, in
+    O(N²) steps plus d² compositions for d distinct σ-rows.
 
     Bijective rows make r left non-degenerate and the derived γ makes it
     involutive, so by Rump (2005) r is a solution iff
@@ -165,7 +175,7 @@ def _is_solution(sigma, gamma) -> bool:
     non-degeneracy needs no check of its own: with the σ-condition,
     x·y = σ_x⁻¹(y) makes X a cycle set, and finite cycle sets are
     non-degenerate (Rump 2005), which makes every γ_y a bijection. So
-    ``gamma`` is not read. The σ-condition is compared on interned ids:
+    γ is not needed. The σ-condition is compared on interned ids:
     row x of the matrix below holds the id of σ_x∘σ_{σ_x⁻¹(y)} at
     column y, and the condition says that the matrix is symmetric.
     """
@@ -183,8 +193,8 @@ def _is_solution(sigma, gamma) -> bool:
 
 
 def from_sigma(sigmas) -> Solution:
-    """Build a Solution from its σ-table and derive γ. Accepts in O(N²)
-    steps by ``_is_solution``; on failure raises AxiomError carrying the
+    """Build a Solution from its σ-table. Accepts in O(N²) steps by
+    ``_is_solution``; on failure raises AxiomError carrying the
     five-axiom VerifyReport of ``verify_tables``."""
     if not sigmas:
         raise ValueError("empty sigma table")
@@ -199,15 +209,14 @@ def from_sigma(sigmas) -> Solution:
             )
         sigma.append(row)
     sigma = tuple(sigma)
-    gamma = derive_gamma(sigma)
-    if not _is_solution(sigma, gamma):
-        report = verify_tables(sigma, gamma)
+    if not _is_solution(sigma):
+        report = verify_tables(sigma)
         failed = [a for a in AXIOMS if not getattr(report, a)]
         raise AxiomError(
             "not a solution; failed axioms: " + ", ".join(failed),
             report=report,
         )
-    return Solution(m=m, sigma=sigma, gamma=gamma)
+    return Solution(sigma)
 
 
 def r_apply(s: Solution, x: int, y: int) -> tuple[int, int]:
@@ -221,8 +230,7 @@ def trivial(m: int) -> Solution:
     """r(x, y) = (y, x): every σ_x is the identity."""
     if m < 1:
         raise ValueError("empty set is not allowed")
-    ident = pm.identity(m)
-    return Solution(m=m, sigma=(ident,) * m, gamma=(ident,) * m)
+    return Solution((pm.identity(m),) * m)
 
 
 def disjoint_union(parts) -> Solution:
@@ -274,14 +282,11 @@ def _completes_sigma_condition(rows, invs, k) -> bool:
 def _place_rows(rows, invs, perms, inverses, out) -> None:
     """Depth-first over σ-rows in order, each row in ``perms`` order, so
     the full tables come in lexicographic order. A branch is dropped as
-    soon as the σ-condition fails on a completed pair; every full table
-    left is accepted by ``_is_solution``."""
+    soon as the σ-condition fails on a completed pair; every pair is
+    completed by the last row, so every full table left is a solution."""
     k = len(rows)
     if k == len(perms[0]):
-        table = tuple(rows)
-        gamma = derive_gamma(table)
-        if _is_solution(table, gamma):
-            out.append(Solution(m=k, sigma=table, gamma=gamma))
+        out.append(Solution(tuple(rows)))
         return
     for p, p_inv in zip(perms, inverses):
         rows.append(p)
@@ -292,7 +297,7 @@ def _place_rows(rows, invs, perms, inverses, out) -> None:
         invs.pop()
 
 
-def enumerate_solutions(m: int, bound: int = 4) -> list[Solution]:
+def enumerate_solutions(m: int) -> list[Solution]:
     """Every solution on m points, in lexicographic order of σ-tables.
 
     A backtracking search over σ-rows pruned by the σ-condition; the
@@ -300,28 +305,29 @@ def enumerate_solutions(m: int, bound: int = 4) -> list[Solution]:
     """
     if m < 1:
         raise ValueError("empty set is not allowed")
-    if m > bound:
-        raise SizeCapExceeded(f"enumeration bound {bound} exceeded (m={m})")
+    if m > ENUMERATION_BOUND:
+        raise SizeCapExceeded(f"enumeration bound {ENUMERATION_BOUND} exceeded (m={m})")
     perms = pm.all_perms(m)
     out = []
     _place_rows([], [], perms, [pm.inverse(p) for p in perms], out)
     return out
 
 
-def solutions_isomorphic(a: Solution, b: Solution, cap_m: int = 8):
+def solutions_isomorphic(a: Solution, b: Solution):
     """A relabeling φ with σ_{φ(x)} = φ∘σ_x∘φ⁻¹ for all x, or None.
 
-    Exhaustive over all m! bijections; declined above cap_m.
+    Exhaustive over all m! bijections; declined above ISOMORPHISM_CAP_M.
     """
-    if a.m != b.m:
+    m = a.m
+    if m != b.m:
         return None
-    if a.m > cap_m:
-        raise SizeCapExceeded(f"isomorphism search declined above m={cap_m}")
-    for phi in itertools.permutations(range(a.m)):
+    if m > ISOMORPHISM_CAP_M:
+        raise SizeCapExceeded(f"isomorphism search declined above m={ISOMORPHISM_CAP_M}")
+    for phi in itertools.permutations(range(m)):
         phi_inv = pm.inverse(phi)
         if all(
             b.sigma[phi[x]] == pm.compose(phi, pm.compose(a.sigma[x], phi_inv))
-            for x in range(a.m)
+            for x in range(m)
         ):
             return phi
     return None

@@ -29,17 +29,16 @@ def test_criterion_1_oracle_closure():
         found = sol.enumerate_solutions(m)
         assert len(found) == EXPECTED_COUNTS[m]
         for s in found:
-            assert sol.verify_tables(s.sigma, s.gamma).all_ok
+            assert sol.verify_tables(s.sigma).all_ok
         # the braid/sigma-condition equivalence and from_sigma's O(N²)
         # gate against all five axioms on every candidate table, and the
         # pruned search against the brute-force scan, in order
         brute_force = []
         for table in itertools.product(pm.all_perms(m), repeat=m):
-            gamma = sol.derive_gamma(table)
-            r = sol.verify_tables(table, gamma)
+            r = sol.verify_tables(table)
             if r.involutive and r.left_nondegenerate:
                 assert r.braid_direct == r.braid_sigma_condition
-            assert sol._is_solution(table, gamma) == r.all_ok
+            assert sol._is_solution(table) == r.all_ok
             if r.all_ok:
                 brute_force.append(table)
         assert [s.sigma for s in found] == brute_force
@@ -55,7 +54,7 @@ def test_criterion_2_power_construction_verifies(corpus):
     for s in corpus:
         for n in (2, 3):
             ps = pw.power_solution(s, n)
-            r = sol.verify_tables(ps.result.sigma, ps.result.gamma)
+            r = sol.verify_tables(ps.result.sigma)
             assert r.all_ok, (s.sigma, n)
     elapsed = time.monotonic() - start
     assert elapsed <= 10.0, f"power corpus took {elapsed:.2f}s"
@@ -156,7 +155,7 @@ def test_criterion_8_brace_suite(brace_z4):
         br.brace_from_tables(b.add, b.mul)  # Definition axioms, exhaustive
         assert br.check_lambda_properties(b).all_ok
         s = br.associated_solution(b)
-        assert sol.verify_tables(s.sigma, s.gamma).all_ok
+        assert sol.verify_tables(s.sigma).all_ok
         for xbar in itertools.product(range(b.k), repeat=2):
             for ybar in itertools.product(range(b.k), repeat=2):
                 assert br.check_eq_3_1(br.lambda_table(b), xbar, ybar)

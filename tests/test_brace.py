@@ -123,7 +123,7 @@ class TestAssociatedSolution:
         for k in (1, 2, 3, 4):
             for b in br.find_braces(k):
                 s = br.associated_solution(b)
-                assert sol.verify_tables(s.sigma, s.gamma).all_ok
+                assert sol.verify_tables(s.sigma).all_ok
 
     def test_group_order_divides_multiplicative_order(self):
         # the permutation group is the image of a homomorphism from (G,.)
@@ -148,6 +148,22 @@ class TestEq31:
             xbar = tuple(rng.randrange(4) for _ in range(3))
             ybar = tuple(rng.randrange(4) for _ in range(3))
             assert br.check_eq_3_1(br.lambda_table(brace_z4), xbar, ybar)
+
+    def test_swapped_lambda_rows_fail_by_frozen_counts(self):
+        # λ-rows 1 and 2 swapped: failing pairs of the 256 at n=2, frozen
+        # from the check that also compared each h_j with its quotient
+        counts = []
+        tuples = list(itertools.product(range(4), repeat=2))
+        for b in br.find_braces(4):
+            rows = list(br.lambda_table(b).table)
+            rows[1], rows[2] = rows[2], rows[1]
+            lt = br.LambdaTable(
+                owner=b, table=tuple(rows), inverses=tuple(pm.inverse(p) for p in rows)
+            )
+            counts.append(
+                sum(not br.check_eq_3_1(lt, xbar, ybar) for xbar in tuples for ybar in tuples)
+            )
+        assert counts == [0, 32, 0, 72, 0, 72]
 
     def test_length_mismatch(self, brace_z4):
         with pytest.raises(ValueError):

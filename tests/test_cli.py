@@ -317,6 +317,8 @@ class TestMain:
         bad = tmp_path / "bad.txt"
         bad.write_text("2\n0 1\n1 0\n")
         for argv in (
+            ("verify", swap2_file),
+            ("verify", str(bad)),
             ("power", swap2_file, "2", "-o", str(tmp_path / "out.txt")),
             ("power", str(bad), "2"),
             ("enumerate", "3", "--dedup"),

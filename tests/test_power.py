@@ -144,7 +144,7 @@ class TestPowerSolution:
     def test_adjoined_nine_points(self, adjoined3):
         ps = pw.power_solution(adjoined3, 2)
         assert ps.result.m == 9
-        assert sol.verify_tables(ps.result.sigma, ps.result.gamma).all_ok
+        assert sol.verify_tables(ps.result.sigma).all_ok
         assert sol.permutation_group(ps.result).order == 2
 
     def test_rejects_n1(self, swap2):
@@ -159,7 +159,7 @@ class TestPowerSolution:
         for s in corpus:
             for n in (2, 3):
                 ps = pw.power_solution(s, n)
-                assert sol.verify_tables(ps.result.sigma, ps.result.gamma).all_ok
+                assert sol.verify_tables(ps.result.sigma).all_ok
 
     def test_build_does_not_run_verify_tables(self, corpus, monkeypatch):
         # from_sigma accepts by its O(N²) gate; the O(N³) five-axiom

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 
@@ -6,6 +7,7 @@ import pytest
 from ybe import perm as pm
 from ybe import power as pw
 from ybe import solution as sol
+from ybe.cli import main
 from ybe.errors import AxiomError, SizeCapExceeded
 
 
@@ -35,7 +37,7 @@ class TestFromSigma:
         rejected = 0
         for m in (1, 2, 3):
             for table in itertools.product(pm.all_perms(m), repeat=m):
-                report = sol.verify_tables(table, sol.derive_gamma(table))
+                report = sol.verify_tables(table)
                 if report.all_ok:
                     assert sol.from_sigma(table).sigma == table
                     continue
@@ -54,21 +56,55 @@ class TestFromSigma:
             sol.from_sigma([])
 
 
+class TestSigmaOnly:
+    def test_sigma_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(sol.Solution)] == ["sigma"]
+
+    def test_m_and_gamma_are_derived(self):
+        for m in (1, 2, 3, 4):
+            for s in sol.enumerate_solutions(m):
+                assert s.m == len(s.sigma) == m
+                assert s.gamma == sol.derive_gamma(s.sigma)
+
+    def test_accept_paths_run_neither_gamma_nor_verify_tables(
+        self, corpus, monkeypatch, tmp_path, capsys
+    ):
+        # acceptance has one path, the σ-condition gate; γ is derived
+        # only when read, and verify_tables only reports a rejection
+        calls = []
+        for name in ("derive_gamma", "verify_tables"):
+            real = getattr(sol, name)
+            monkeypatch.setattr(
+                sol, name, lambda *a, name=name, real=real: calls.append(name) or real(*a)
+            )
+        for s in corpus:
+            sol.from_sigma(s.sigma)
+            for n in (2, 3):
+                pw.power_solution(s, n)
+        for m in (1, 2, 3, 4):
+            sol.enumerate_solutions(m)
+        valid = tmp_path / "valid.txt"
+        valid.write_text("3\n1 0 2\n1 0 2\n0 1 2\n")
+        assert main(["verify", str(valid)]) == 0
+        assert capsys.readouterr().out.count(": pass\n") == 5
+        assert calls == []
+
+
 class TestVerify:
     def test_trivial_all_flags(self):
         for m in (1, 2, 4):
             s = sol.trivial(m)
-            report = sol.verify_tables(s.sigma, s.gamma)
+            report = sol.verify_tables(s.sigma)
             assert report.all_ok
 
     def test_swap_all_flags(self):
         sigma = ((1, 0), (1, 0))
-        report = sol.verify_tables(sigma, sol.derive_gamma(sigma))
+        report = sol.verify_tables(sigma)
         assert report.all_ok
 
     def test_braid_failure_flags(self):
         sigma = ((0, 1), (1, 0))
-        report = sol.verify_tables(sigma, sol.derive_gamma(sigma))
+        report = sol.verify_tables(sigma)
         assert report.involutive
         assert report.left_nondegenerate
         # derived gamma_0 = (0, 0) here, so the right action degenerates too
@@ -78,7 +114,7 @@ class TestVerify:
 
     def test_report_always_produced(self):
         sigma = ((1, 2, 0), (0, 1, 2), (0, 1, 2))
-        report = sol.verify_tables(sigma, sol.derive_gamma(sigma))
+        report = sol.verify_tables(sigma)
         assert not report.all_ok
         assert report.counterexamples
 
@@ -97,9 +133,8 @@ class TestAcceptanceGate:
                     mutant = list(row)
                     mutant[i], mutant[j] = row[j], row[i]
                     table = s.sigma[:x] + (tuple(mutant),) + s.sigma[x + 1:]
-                    gamma = sol.derive_gamma(table)
-                    ok = sol.verify_tables(table, gamma).all_ok
-                    assert sol._is_solution(table, gamma) == ok, table
+                    ok = sol.verify_tables(table).all_ok
+                    assert sol._is_solution(table) == ok, table
                     verdicts[ok] += 1
         assert verdicts[True] and verdicts[False]
 
@@ -194,7 +229,7 @@ class TestEnumerate:
 
     def test_all_enumerated_verify(self, corpus):
         for s in corpus:
-            assert sol.verify_tables(s.sigma, s.gamma).all_ok
+            assert sol.verify_tables(s.sigma).all_ok
 
     def test_lexicographic_order(self):
         found = sol.enumerate_solutions(3)
