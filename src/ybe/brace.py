@@ -9,6 +9,7 @@ rejected rather than relabeled.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
 
@@ -150,9 +151,10 @@ def lambda_table(b: Brace) -> LambdaTable:
     )
 
 
-def check_lambda_properties(b: Brace) -> LambdaReport:
-    """Exhaustively verify the six λ-map identities of a left brace."""
-    lam = lambda_table(b)
+def check_lambda_properties(lam: LambdaTable) -> LambdaReport:
+    """Exhaustively verify the six λ-map identities of the brace
+    ``lam.owner``, with ``lam = lambda_table(b)``."""
+    b = lam.owner
     lt, lt_inv = lam.table, lam.inverses
     flags = {name: True for name in LAMBDA_PROPERTIES}
     witnesses = {}
@@ -191,22 +193,27 @@ def associated_solution(b: Brace) -> Solution:
     return sol.from_sigma(lambda_table(b).table)
 
 
-def check_eq_3_1(lt: LambdaTable, xbar, ybar) -> bool:
-    """Inside the multiplicative group of the brace ``lt.owner``, with
-    σ = λ over the whole brace: the product h₁⋯h_j must equal
-    λ_{x₁⋯xₙ}(y₁⋯y_j) for every j. By cancellation that makes each h_j
-    (j ≥ 2) the quotient λ_{x₁⋯xₙ}(y₁⋯y_{j-1})⁻¹ · λ_{x₁⋯xₙ}(y₁⋯y_j)."""
-    b = lt.owner
-    n = len(xbar)
-    if len(ybar) != n:
-        raise ValueError("tuples must have equal length")
-    for v in itertools.chain(xbar, ybar):
+def _check_entries(b: Brace, tup) -> None:
+    for v in tup:
         if not 0 <= v < b.k:
             raise ValueError(f"entry {v} out of range for brace of order {b.k}")
-    lam = lt.table
-    h = pw._f_tuple(lam, lt.inverses, pw._sigma_product(lam, xbar), ybar)
 
-    big_x = b.mul_many(xbar)
+
+def eq_3_1_key(lt: LambdaTable, xbar):
+    """All that the eq. 3.1 check reads of x̄: the λ-product
+    λ_{x₁}⋯λ_{xₙ} and the group product x₁⋯xₙ. Pairs whose x̄ share a
+    key share a verdict for every ȳ; no brace identity is assumed."""
+    if not xbar:
+        raise ValueError("tuples must not be empty")
+    _check_entries(lt.owner, xbar)
+    return pw._sigma_product(lt.table, xbar), lt.owner.mul_many(xbar)
+
+
+def _eq_3_1_holds(lt: LambdaTable, key, ybar) -> bool:
+    """The check of eq. 3.1 for one x̄-key and one valid ȳ."""
+    lam_x, big_x = key
+    b, lam = lt.owner, lt.table
+    h = pw._f_tuple(lam, lt.inverses, lam_x, ybar)
     y_prod = h_prod = 0   # y₁⋯y_j and h₁⋯h_j
     for y, hj in zip(ybar, h):
         y_prod = b.mul[y_prod][y]
@@ -214,6 +221,53 @@ def check_eq_3_1(lt: LambdaTable, xbar, ybar) -> bool:
         if lam[big_x][y_prod] != h_prod:
             return False
     return True
+
+
+def check_eq_3_1(lt: LambdaTable, xbar, ybar) -> bool:
+    """Inside the multiplicative group of the brace ``lt.owner``, with
+    σ = λ over the whole brace: the product h₁⋯h_j must equal
+    λ_{x₁⋯xₙ}(y₁⋯y_j) for every j. By cancellation that makes each h_j
+    (j ≥ 2) the quotient λ_{x₁⋯xₙ}(y₁⋯y_{j-1})⁻¹ · λ_{x₁⋯xₙ}(y₁⋯y_j)."""
+    if len(ybar) != len(xbar):
+        raise ValueError("tuples must have equal length")
+    key = eq_3_1_key(lt, xbar)
+    _check_entries(lt.owner, ybar)
+    return _eq_3_1_holds(lt, key, ybar)
+
+
+def eq_3_1_failures(lt: LambdaTable, n: int, cap: int = pw.DEFAULT_POWER_CAP) -> int:
+    """The number of pairs (x̄, ȳ) of n-tuples that fail eq. 3.1, out of
+    all k²ⁿ: each distinct x̄-key is checked against every ȳ once and
+    counted as often as it occurs among the kⁿ tuples x̄."""
+    pw.check_degree(lt.owner.k, n, cap)
+    tuples = list(pw.TupleCodec(lt.owner.k, n).all_tuples())
+    keys = collections.Counter(eq_3_1_key(lt, xbar) for xbar in tuples)
+    return sum(
+        count
+        for key, count in keys.items()
+        for ybar in tuples
+        if not _eq_3_1_holds(lt, key, ybar)
+    )
+
+
+def eq_3_1_sampled_failures(lt: LambdaTable, pairs) -> int:
+    """The number of pairs (x̄, ȳ) in ``pairs`` that fail eq. 3.1, each
+    distinct x̄ keyed once. Verdicts are not kept: drawing a pair costs
+    about as much as checking it, and a verdict per distinct (key, ȳ)
+    would hold up to k·kⁿ entries for a brace."""
+    keys = {}      # x̄ -> its key
+    interned = {}  # one object per distinct key, shared by its x̄
+    failures = 0
+    for xbar, ybar in pairs:
+        if len(ybar) != len(xbar):
+            raise ValueError("tuples must have equal length")
+        key = keys.get(xbar)
+        if key is None:
+            key = eq_3_1_key(lt, xbar)
+            key = keys[xbar] = interned.setdefault(key, key)
+        _check_entries(lt.owner, ybar)
+        failures += not _eq_3_1_holds(lt, key, ybar)
+    return failures
 
 
 def _abelian_tables(k: int):

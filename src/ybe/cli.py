@@ -160,16 +160,17 @@ def cmd_brace_find(args):
         print(f"brace {i}:")
         for line in files.emit_brace(b).splitlines():
             print("  " + line)
-        report = br.check_lambda_properties(b)
+        lt = br.lambda_table(b)
+        report = br.check_lambda_properties(lt)
         print(f"  lambda properties: {'pass' if report.all_ok else 'FAIL'}")
-        s = br.associated_solution(b)
+        s = sol.from_sigma(lt.table)  # the associated solution
         print(f"  associated solution verifies: yes (group order {sol.permutation_group(s).order})")
     return EXIT_OK
 
 
 def cmd_brace_lambda_check(args):
     b = files.parse_brace(_read(args.file))
-    report = br.check_lambda_properties(b)
+    report = br.check_lambda_properties(br.lambda_table(b))
     for name in br.LAMBDA_PROPERTIES:
         line = f"{name}: {'pass' if report.flags[name] else 'FAIL'}"
         if not report.flags[name]:
@@ -190,21 +191,16 @@ def cmd_brace_eq31_check(args):
         # the exhaustive mode checks at most (kⁿ)² ≤ cap² pairs
         raise SizeCapExceeded(f"sample count {args.samples} exceeds cap² = {args.cap**2}")
     lt = br.lambda_table(b)
-    failures = 0
     if args.samples == 0:
-        tuples = list(pw.TupleCodec(b.k, n).all_tuples())
-        for xbar in tuples:
-            for ybar in tuples:
-                if not br.check_eq_3_1(lt, xbar, ybar):
-                    failures += 1
-        print(f"checked all {len(tuples) ** 2} tuple pairs (n={n})")
+        failures = br.eq_3_1_failures(lt, n, cap=args.cap)
+        print(f"checked all {b.k ** (2 * n)} tuple pairs (n={n})")
     else:
         rng = random.Random(args.seed)
-        for _ in range(args.samples):
-            xbar = tuple(rng.randrange(b.k) for _ in range(n))
-            ybar = tuple(rng.randrange(b.k) for _ in range(n))
-            if not br.check_eq_3_1(lt, xbar, ybar):
-                failures += 1
+
+        def draw():
+            return tuple(rng.randrange(b.k) for _ in range(n))
+
+        failures = br.eq_3_1_sampled_failures(lt, ((draw(), draw()) for _ in range(args.samples)))
         print(f"checked {args.samples} sampled tuple pairs (n={n}, seed={args.seed})")
     print(f"failures: {failures}")
     return EXIT_OK if failures == 0 else EXIT_PROPERTY

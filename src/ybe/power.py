@@ -34,6 +34,10 @@ class TupleCodec:
     m: int
     n: int
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"tuple length must be at least 1, got {self.n}")
+
     @property
     def size(self) -> int:
         return self.m**self.n
@@ -100,6 +104,8 @@ def psi_apply(sigma_table, tau: Perm, ybar) -> tuple[int, ...]:
     σ(t_j)⁻¹⋯σ(t_1)⁻¹ τ σ(y₁)⋯σ(y_j) applied to y_{j+1}.
     """
     m = len(tau)
+    if len(sigma_table) != m:
+        raise ValueError(f"tau has degree {m}, expected {len(sigma_table)}")
     TupleCodec(m, len(ybar)).encode(ybar)  # validates the entries
     sigma = [tuple(s) for s in sigma_table]
     t = [tau[ybar[0]]]

@@ -153,7 +153,7 @@ def test_criterion_8_brace_suite(brace_z4):
     assert elapsed <= 1.0, f"brace search took {elapsed:.2f}s"
     for b in all_braces:
         br.brace_from_tables(b.add, b.mul)  # Definition axioms, exhaustive
-        assert br.check_lambda_properties(b).all_ok
+        assert br.check_lambda_properties(br.lambda_table(b)).all_ok
         s = br.associated_solution(b)
         assert sol.verify_tables(s.sigma).all_ok
         for xbar in itertools.product(range(b.k), repeat=2):

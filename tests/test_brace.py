@@ -14,6 +14,16 @@ def z_table(k):
     return [[(a + c) % k for c in range(k)] for a in range(k)]
 
 
+def swapped_lambda_tables():
+    """The λ-table of each brace of order 4 with rows 1 and 2 swapped."""
+    for b in br.find_braces(4):
+        rows = list(br.lambda_table(b).table)
+        rows[1], rows[2] = rows[2], rows[1]
+        yield br.LambdaTable(
+            owner=b, table=tuple(rows), inverses=tuple(pm.inverse(p) for p in rows)
+        )
+
+
 class TestBraceFromTables:
     def test_z2_trivial(self):
         b = br.brace_from_tables(z_table(2), z_table(2))
@@ -67,7 +77,7 @@ class TestTrivialBrace:
 
     def test_brace_property_holds(self):
         b = br.trivial_brace(z_table(4))
-        assert br.check_lambda_properties(b).all_ok
+        assert br.check_lambda_properties(br.lambda_table(b)).all_ok
 
 
 class TestLambdaTable:
@@ -87,10 +97,11 @@ class TestLambdaTable:
 
 class TestLambdaProperties:
     def test_trivial_z5(self):
-        assert br.check_lambda_properties(br.trivial_brace(z_table(5))).all_ok
+        b = br.trivial_brace(z_table(5))
+        assert br.check_lambda_properties(br.lambda_table(b)).all_ok
 
     def test_z4_brace(self, brace_z4):
-        report = br.check_lambda_properties(brace_z4)
+        report = br.check_lambda_properties(br.lambda_table(brace_z4))
         assert report.all_ok
         assert set(report.flags) == set(br.LAMBDA_PROPERTIES)
 
@@ -100,7 +111,7 @@ class TestLambdaProperties:
         mul[1], mul[3] = mul[3], mul[1]
         tampered = dataclasses.replace(brace_z4, mul=tuple(mul))
         try:
-            report = br.check_lambda_properties(tampered)
+            report = br.check_lambda_properties(br.lambda_table(tampered))
         except AxiomError:
             return  # lambda rows degenerated; also an acceptable detection
         assert not report.all_ok
@@ -152,26 +163,67 @@ class TestEq31:
     def test_swapped_lambda_rows_fail_by_frozen_counts(self):
         # λ-rows 1 and 2 swapped: failing pairs of the 256 at n=2, frozen
         # from the check that also compared each h_j with its quotient
-        counts = []
         tuples = list(itertools.product(range(4), repeat=2))
-        for b in br.find_braces(4):
-            rows = list(br.lambda_table(b).table)
-            rows[1], rows[2] = rows[2], rows[1]
-            lt = br.LambdaTable(
-                owner=b, table=tuple(rows), inverses=tuple(pm.inverse(p) for p in rows)
-            )
-            counts.append(
-                sum(not br.check_eq_3_1(lt, xbar, ybar) for xbar in tuples for ybar in tuples)
-            )
+        counts = [
+            sum(not br.check_eq_3_1(lt, xbar, ybar) for xbar in tuples for ybar in tuples)
+            for lt in swapped_lambda_tables()
+        ]
         assert counts == [0, 32, 0, 72, 0, 72]
 
+    def test_keyed_count_equals_per_pair_sum(self):
+        # the keyed count against the per-pair oracle, on every brace of
+        # order ≤ 6 and on the swapped-λ mutants, which are no braces
+        braces = [br.lambda_table(b) for k in range(1, 7) for b in br.find_braces(k)]
+        mutants = list(swapped_lambda_tables())
+        for n in (2, 3):
+            for lt in braces + mutants:
+                tuples = list(itertools.product(range(lt.owner.k), repeat=n))
+                expected = sum(
+                    not br.check_eq_3_1(lt, xbar, ybar) for xbar in tuples for ybar in tuples
+                )
+                assert br.eq_3_1_failures(lt, n) == expected
+        assert [br.eq_3_1_failures(lt, 2) for lt in mutants] == [0, 32, 0, 72, 0, 72]
+
+    def test_sampled_count_equals_per_pair_sum(self):
+        rng = random.Random(3)
+        total = 0
+        for n in (2, 3):
+            for lt in swapped_lambda_tables():
+                pairs = [
+                    tuple(tuple(rng.randrange(4) for _ in range(n)) for _ in range(2))
+                    for _ in range(500)
+                ]
+                expected = sum(not br.check_eq_3_1(lt, xbar, ybar) for xbar, ybar in pairs)
+                assert br.eq_3_1_sampled_failures(lt, pairs) == expected
+                total += expected
+        assert total > 0
+
     def test_length_mismatch(self, brace_z4):
+        lt = br.lambda_table(brace_z4)
         with pytest.raises(ValueError):
-            br.check_eq_3_1(br.lambda_table(brace_z4), (0, 1), (0, 1, 2))
+            br.check_eq_3_1(lt, (0, 1), (0, 1, 2))
+        with pytest.raises(ValueError):
+            br.check_eq_3_1(lt, (), ())
+        with pytest.raises(ValueError):
+            br.eq_3_1_sampled_failures(lt, [((0, 1), (0, 1)), ((0, 1), (0, 1, 2))])
 
     def test_out_of_range(self, brace_z4):
+        lt = br.lambda_table(brace_z4)
         with pytest.raises(ValueError):
-            br.check_eq_3_1(br.lambda_table(brace_z4), (0, 4), (0, 0))
+            br.check_eq_3_1(lt, (0, 4), (0, 0))
+        with pytest.raises(ValueError):
+            br.check_eq_3_1(lt, (0, 0), (0, 4))
+        with pytest.raises(ValueError):
+            br.eq_3_1_key(lt, ())
+        with pytest.raises(ValueError):
+            br.eq_3_1_key(lt, (0, 4))
+        with pytest.raises(ValueError):
+            br.eq_3_1_sampled_failures(lt, [((0, 1), (0, 4))])
+
+    def test_cap(self, brace_z4):
+        # 4⁷ tuples exceed the default cap of 4096
+        with pytest.raises(SizeCapExceeded):
+            br.eq_3_1_failures(br.lambda_table(brace_z4), 7)
 
 
 class TestFindBraces:
@@ -195,7 +247,7 @@ class TestFindBraces:
     def test_lambda_properties_hold_for_all_found(self):
         for k in (2, 3, 4):
             for b in br.find_braces(k):
-                assert br.check_lambda_properties(b).all_ok
+                assert br.check_lambda_properties(br.lambda_table(b)).all_ok
 
     def test_sum_and_symmetry_identities(self):
         # a+b = a.lambda_a^{-1}(b) and a.lambda_a^{-1}(b) = b.lambda_b^{-1}(a)

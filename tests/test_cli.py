@@ -308,6 +308,29 @@ class TestSingleBuild:
         code, _, _ = run(capsys, "brace", "eq31-check", brace_z4_file, "--n", "2")
         assert code == 0
         assert calls["lambda_table"] == 1
+        # brace find builds λ once per brace: 2 braces of order 6, 6 of order 4
+        for k, braces in (("6", 2), ("4", 6)):
+            calls["lambda_table"] = 0
+            code, _, _ = run(capsys, "brace", "find", k)
+            assert code == 0
+            assert calls["lambda_table"] == braces
+
+    def test_eq31_keys_each_x_product_once(self, capsys, monkeypatch, tmp_path):
+        # exhaustive n=3 on an order-6 brace: 216 x-products and at most
+        # 6 distinct keys, each checked against the 216 tuples ȳ, instead
+        # of one product and one recursion for each of the 216² pairs
+        p = tmp_path / "brace6.txt"
+        p.write_text(files.emit_brace(br.find_braces(6)[-1]))
+        calls = {"_f_tuple": 0, "_sigma_product": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(pw, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(pw, name, counted)
+        code, out, _ = run(capsys, "brace", "eq31-check", str(p), "--n", "3")
+        assert (code, out) == (0, "checked all 46656 tuple pairs (n=3)\nfailures: 0\n")
+        assert calls["_f_tuple"] <= 1296
+        assert calls["_sigma_product"] <= 216
 
 
 class TestMain:

@@ -28,6 +28,8 @@ class TestTupleCodec:
             codec.encode((0, 2))
         with pytest.raises(ValueError):
             codec.decode(4)
+        with pytest.raises(ValueError):
+            pw.TupleCodec(2, 0)
 
 
 class TestPsiApply:
@@ -50,6 +52,10 @@ class TestPsiApply:
     def test_out_of_range(self, swap2):
         with pytest.raises(ValueError):
             pw.psi_apply(swap2.sigma, (1, 0), (0, 2))
+        with pytest.raises(ValueError):
+            pw.psi_apply(swap2.sigma, (1, 0), ())
+        with pytest.raises(ValueError):
+            pw.psi_apply(swap2.sigma, (1, 0, 2), (0, 0))
 
 
 class TestPsiInverse:
@@ -105,6 +111,11 @@ class TestPsiPerm:
         with pytest.raises(SizeCapExceeded):
             pw.psi_perm(swap2.sigma, (1, 0), 13)
 
+    def test_out_of_range(self, swap2):
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                pw.psi_perm(swap2.sigma, (1, 0), n)
+
 
 class TestFMap:
     def test_trivial_base(self):
@@ -121,6 +132,12 @@ class TestFMap:
         tau = pm.compose(adjoined3.sigma[0], adjoined3.sigma[2])
         assert tau == (1, 0, 2)
         assert f == pw.psi_perm(adjoined3.sigma, tau, 2)
+
+    def test_out_of_range(self, swap2):
+        with pytest.raises(ValueError):
+            pw.f_map(swap2, (), 0)
+        with pytest.raises(ValueError):
+            pw.f_map(swap2, (0, 2), 2)
 
     def test_equals_psi_of_product_everywhere(self, corpus):
         for s in corpus:
