@@ -240,7 +240,7 @@ def eq_3_1_failures(lt: LambdaTable, n: int, cap: int = pw.DEFAULT_POWER_CAP) ->
     all k²ⁿ: each distinct x̄-key is checked against every ȳ once and
     counted as often as it occurs among the kⁿ tuples x̄."""
     pw.check_degree(lt.owner.k, n, cap)
-    tuples = list(pw.TupleCodec(lt.owner.k, n).all_tuples())
+    tuples = list(itertools.product(range(lt.owner.k), repeat=n))
     keys = collections.Counter(eq_3_1_key(lt, xbar) for xbar in tuples)
     return sum(
         count

@@ -80,13 +80,15 @@ def cmd_power(args):
     s = files.parse_solution(_read(args.file))
     if args.n < 2:
         raise ParseError(f"exponent must be at least 2, got {args.n}")
-    ps = pw.power_solution(s, args.n, cap=args.cap)
-    a, b, phi = pw.power_perm_group(ps)
+    # decline before building; no power group is larger than the base
+    pw.check_degree(s.m, args.n, args.cap)
     base = sol.permutation_group(s, cap=args.cap)
+    ps = pw.power_solution(s, args.n, cap=args.cap)
+    a_order, b_order, phi = pw.power_perm_group(ps)
     cond = pw.iso_condition(base, args.n)
     print(f"base group order: {base.order}")
-    print(f"power group order: {a.order}")
-    print(f"product subgroup order: {b.order}")
+    print(f"power group order: {a_order}")
+    print(f"product subgroup order: {b_order}")
     print(f"classification: {cond.value}")
     print(f"isomorphic: {'yes' if phi is not None else 'no'}")
     if args.out:

@@ -2,14 +2,15 @@
 
 The σ-maps of the power solution are the maps f_x̄ given by a recursion
 in h_1, ..., h_n; they coincide with the image of the product
-σ_{x₁}⋯σ_{xₙ} under an embedding ψ: Sym_X → Sym_{Xⁿ}. f_map implements
-the recursion directly; the ψ route is kept as an independent code path
-and cross-checked in tests, never used to build the table.
+σ_{x₁}⋯σ_{xₙ} under an embedding ψ: Sym_X → Sym_{Xⁿ}. power_solution and
+f_map build rows by the recursion; the ψ route is an independent code
+path, cross-checked in tests and never used to build the table.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -38,10 +39,6 @@ class TupleCodec:
         if self.n < 1:
             raise ValueError(f"tuple length must be at least 1, got {self.n}")
 
-    @property
-    def size(self) -> int:
-        return self.m**self.n
-
     def encode(self, tup) -> int:
         if len(tup) != self.n:
             raise ValueError(f"expected a {self.n}-tuple, got {len(tup)} entries")
@@ -53,16 +50,13 @@ class TupleCodec:
         return code
 
     def decode(self, code: int) -> tuple[int, ...]:
-        if not 0 <= code < self.size:
+        if not 0 <= code < self.m**self.n:
             raise ValueError(f"code {code} out of range for {self.m}^{self.n}")
         out = []
         for _ in range(self.n):
             out.append(code % self.m)
             code //= self.m
         return tuple(reversed(out))
-
-    def all_tuples(self):
-        return (self.decode(c) for c in range(self.size))
 
 
 class IsoCondition(enum.Enum):
@@ -78,7 +72,8 @@ class PowerSolution:
     base: Solution
     n: int
     codec: TupleCodec
-    result: Solution
+    result: Solution  # row c is f_x̄ for x̄ = codec.decode(c)
+    products: tuple[Perm, ...]  # entry c is σ_{x₁}⋯σ_{xₙ} for the same x̄
 
 
 def check_degree(m: int, n: int, cap: int) -> None:
@@ -132,7 +127,7 @@ def psi_perm(sigma_table, tau: Perm, n: int, cap: int = DEFAULT_POWER_CAP) -> Pe
     codec = TupleCodec(m, n)
     return tuple(
         codec.encode(psi_apply(sigma_table, tau, ybar))
-        for ybar in codec.all_tuples()
+        for ybar in itertools.product(range(m), repeat=n)
     )
 
 
@@ -163,26 +158,34 @@ def _f_tuple(sigma, inv, sig_x, ybar) -> tuple[int, ...]:
     return tuple(h)
 
 
+def _codes(m: int, n: int) -> dict:
+    """Each tuple of Xⁿ to its code, in TupleCodec's lex-msb order."""
+    return {t: c for c, t in enumerate(itertools.product(range(m), repeat=n))}
+
+
+def _f_row(sigma, inv, sig_x, codes) -> Perm:
+    """f_x̄ of degree mⁿ: the h-recursion on each ȳ, encoded by lookup."""
+    return tuple(codes[_f_tuple(sigma, inv, sig_x, ybar)] for ybar in codes)
+
+
 def f_map(s: Solution, xbar, n: int, cap: int = DEFAULT_POWER_CAP) -> Perm:
     """The permutation f_x̄ of degree mⁿ, from the h_j recursion."""
-    codec = TupleCodec(s.m, n)
-    codec.encode(xbar)  # validates x̄
+    TupleCodec(s.m, n).encode(xbar)  # validates x̄
     check_degree(s.m, n, cap)
     inv = [pm.inverse(p) for p in s.sigma]
-    sig_x = _sigma_product(s.sigma, xbar)
-    return tuple(
-        codec.encode(_f_tuple(s.sigma, inv, sig_x, ybar)) for ybar in codec.all_tuples()
-    )
+    return _f_row(s.sigma, inv, _sigma_product(s.sigma, xbar), _codes(s.m, n))
 
 
 def power_solution(s: Solution, n: int, cap: int = DEFAULT_POWER_CAP) -> PowerSolution:
-    """Build (Xⁿ, r⁽ⁿ⁾) with σ-table {f_x̄}, fully verified."""
+    """Build (Xⁿ, r⁽ⁿ⁾) with σ-table {f_x̄}, fully verified; each x-product once."""
     if n < 2:
         raise ValueError("exponent must be at least 2")
     check_degree(s.m, n, cap)
-    codec = TupleCodec(s.m, n)
-    sigma = tuple(f_map(s, xbar, n, cap=cap) for xbar in codec.all_tuples())
-    return PowerSolution(base=s, n=n, codec=codec, result=sol.from_sigma(sigma))
+    codes = _codes(s.m, n)
+    inv = [pm.inverse(p) for p in s.sigma]
+    products = tuple(_sigma_product(s.sigma, xbar) for xbar in codes)
+    sigma = tuple(_f_row(s.sigma, inv, p, codes) for p in products)
+    return PowerSolution(s, n, TupleCodec(s.m, n), sol.from_sigma(sigma), products)
 
 
 def power_solution_n2_direct(s: Solution, x1, x2, y1, y2) -> tuple[int, int]:
@@ -198,27 +201,22 @@ def power_solution_n2_direct(s: Solution, x1, x2, y1, y2) -> tuple[int, int]:
 
 
 def power_perm_group(ps: PowerSolution):
-    """(A, B, φ): A the permutation group of the power solution, B the
-    subgroup of Sym_m generated by all products σ_{x₁}⋯σ_{xₙ}, and φ the
-    isomorphism A -> B that sends f_x̄ to σ_{x₁}⋯σ_{xₙ}, or None if that
-    pairing is not one.
+    """(|A|, |B|, φ): A the permutation group of the power solution, B
+    the subgroup of Sym_m generated by all products σ_{x₁}⋯σ_{xₙ}, and φ
+    the isomorphism A -> B that sends f_x̄ to σ_{x₁}⋯σ_{xₙ}, or None if
+    that pairing is not one.
 
-    The pairs (f_x̄, σ_{x₁}⋯σ_{xₙ}) generate a subgroup D of A × B that
-    projects onto both, so D is the graph of an isomorphism exactly when
-    |D| = |A| = |B|; one closure of D checks the paper's claim without
-    assuming it."""
-    a = sol.permutation_group(ps.result)
+    The pairs (f_x̄, σ_{x₁}⋯σ_{xₙ}) generate a subgroup D of A × B whose
+    projections are A and B, so D is the graph of an isomorphism exactly
+    when |D| = |A| = |B|; one closure checks the paper's claim."""
     deg = ps.result.m
-    pairs = dict.fromkeys(
-        (f, _sigma_product(ps.base.sigma, ps.codec.decode(c)))
-        for c, f in enumerate(ps.result.sigma)
-    )
-    b = pm.close_group(dict.fromkeys(p for _, p in pairs))
+    pairs = dict.fromkeys(zip(ps.result.sigma, ps.products))
     d = pm.close_group([f + tuple(deg + v for v in p) for f, p in pairs])
-    if not d.order == a.order == b.order:
-        return a, b, None
-    phi = {e[:deg]: tuple(v - deg for v in e[deg:]) for e in d.elements}
-    return a, b, phi
+    a_order = len({e[:deg] for e in d.elements})
+    b_order = len({e[deg:] for e in d.elements})
+    if not d.order == a_order == b_order:
+        return a_order, b_order, None
+    return a_order, b_order, {e[:deg]: tuple(v - deg for v in e[deg:]) for e in d.elements}
 
 
 def iso_condition(base: GeneratedGroup, n: int) -> IsoCondition:

@@ -110,21 +110,23 @@ def test_criterion_5_closed_n2_formula(corpus):
 def test_criterion_6_power_group_comparison(corpus, swap2, adjoined3):
     for s in corpus:
         for n in (2, 3):
-            a, b, phi = pw.power_perm_group(pw.power_solution(s, n))
+            _, _, phi = pw.power_perm_group(pw.power_solution(s, n))
             assert phi is not None, (s.sigma, n)
     # case 1: a fixed point forces the base group at every exponent
     base_adj = sol.permutation_group(adjoined3)
     for n in (2, 3):
-        a, _, _ = pw.power_perm_group(pw.power_solution(adjoined3, n))
-        assert a.order == 2
+        ps = pw.power_solution(adjoined3, n)
+        a = sol.permutation_group(ps.result)
+        assert pw.power_perm_group(ps)[0] == a.order == 2
         assert pm.groups_isomorphic(a, base_adj) is not None
     # case 2: coprime exponent
-    a, _, _ = pw.power_perm_group(pw.power_solution(swap2, 3))
-    assert a.order == 2
+    ps = pw.power_solution(swap2, 3)
+    a = sol.permutation_group(ps.result)
+    assert pw.power_perm_group(ps)[0] == a.order == 2
     assert pm.groups_isomorphic(a, sol.permutation_group(swap2)) is not None
     # negative witness: swap2 at n=2 collapses
-    a, _, _ = pw.power_perm_group(pw.power_solution(swap2, 2))
-    assert a.order == 1
+    a_order, _, _ = pw.power_perm_group(pw.power_solution(swap2, 2))
+    assert a_order == 1
     base_swap = sol.permutation_group(swap2)
     assert base_swap.order == 2
     assert pw.iso_condition(base_swap, 2) is pw.IsoCondition.NO_GUARANTEE

@@ -4,6 +4,7 @@ import pytest
 
 from ybe import brace as br
 from ybe import files
+from ybe import perm as pm
 from ybe import power as pw
 from ybe import solution as sol
 from ybe.cli import main
@@ -34,6 +35,12 @@ def adjoined3_file(tmp_path, swap2):
     p = tmp_path / "adjoined3.txt"
     p.write_text(files.emit_solution(sol.adjoin_fixed_point(swap2)))
     return str(p)
+
+
+@pytest.fixture
+def o8():
+    """The order-8 solution on four points."""
+    return sol.from_sigma([(0, 1, 3, 2), (2, 3, 1, 0), (3, 2, 0, 1), (1, 0, 2, 3)])
 
 
 @pytest.fixture
@@ -115,10 +122,9 @@ class TestPower:
         assert text.startswith("# power m=2 n=2 encoding=lex-msb-first\n")
         assert files.parse_solution(text).m == 4
 
-    def test_o8_unions_n2(self, capsys, tmp_path):
+    def test_o8_unions_n2(self, capsys, tmp_path, o8):
         # degree 64: a search over generator images for φ does not
         # finish on these
-        o8 = sol.from_sigma([(0, 1, 3, 2), (2, 3, 1, 0), (3, 2, 0, 1), (1, 0, 2, 3)])
         c3 = sol.from_sigma([(1, 2, 0)] * 3)
         for parts, orders, cond in (
             ((o8, o8), (64, 32, 32), "NoGuarantee"),
@@ -159,6 +165,26 @@ class TestPower:
             assert code == 3, argv
             assert out == ""
             assert "error" in err
+
+    def test_cap_declines_before_building(self, capsys, monkeypatch, tmp_path, o8):
+        # O8⁵ at n=2 has degree 400, under the cap, but its base group
+        # has order 8⁵; the degree is checked first, so O8 at n=2 under
+        # --cap 4 still reports the degree
+        calls = []
+        real = pw.power_solution
+        monkeypatch.setattr(
+            pw, "power_solution", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
+        o8x5 = tmp_path / "o8x5.txt"
+        o8x5.write_text(files.emit_solution(sol.disjoint_union([o8] * 5)))
+        o8_file = tmp_path / "o8.txt"
+        o8_file.write_text(files.emit_solution(o8))
+        for argv, err in (
+            (("power", str(o8x5), "2"), "error: group closure exceeded cap of 4096 elements\n"),
+            (("--cap", "4", "power", str(o8_file), "2"), "error: degree 4^2 exceeds cap 4\n"),
+        ):
+            assert run(capsys, *argv) == (3, "", err)
+        assert calls == []
 
 
 class TestPermgroup:
@@ -295,8 +321,10 @@ class TestSingleBuild:
     def test_power_and_eq31_build_once(
         self, capsys, monkeypatch, tmp_path, swap2_file, brace_z4_file
     ):
-        calls = {"power_solution": 0, "lambda_table": 0}
-        for module, name in ((pw, "power_solution"), (br, "lambda_table")):
+        calls = {"power_solution": 0, "lambda_table": 0, "close_group": 0}
+        for module, name in (
+            (pw, "power_solution"), (br, "lambda_table"), (pm, "close_group")
+        ):
             def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _real(*args, **kwargs)
@@ -305,6 +333,8 @@ class TestSingleBuild:
         code, _, _ = run(capsys, "power", swap2_file, "3", "-o", str(out_path))
         assert code == 0
         assert calls["power_solution"] == 1
+        # the base group and D, whose projections give the power groups
+        assert calls["close_group"] == 2
         code, _, _ = run(capsys, "brace", "eq31-check", brace_z4_file, "--n", "2")
         assert code == 0
         assert calls["lambda_table"] == 1

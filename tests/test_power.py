@@ -178,6 +178,17 @@ class TestPowerSolution:
                 ps = pw.power_solution(s, n)
                 assert sol.verify_tables(ps.result.sigma).all_ok
 
+    def test_rows_are_psi_of_products(self, corpus):
+        # each row against the ψ route, and each stored product against
+        # the product of the decoded x̄, not the loop that built them
+        for s in corpus:
+            for n in (2, 3):
+                ps = pw.power_solution(s, n)
+                pairs = _pairs(ps)
+                assert [p for _, p in pairs] == list(ps.products)
+                for f, p in pairs:
+                    assert f == pw.psi_perm(s.sigma, p, n)
+
     def test_build_does_not_run_verify_tables(self, corpus, monkeypatch):
         # from_sigma accepts by its O(N²) gate; the O(N³) five-axiom
         # check runs only to report a rejection
@@ -217,27 +228,30 @@ class TestN2Direct:
 
 class TestPowerPermGroup:
     def test_swap_n2(self, swap2):
-        a, b, phi = pw.power_perm_group(pw.power_solution(swap2, 2))
-        assert a.order == 1 and b.order == 1
+        a_order, b_order, phi = pw.power_perm_group(pw.power_solution(swap2, 2))
+        assert a_order == 1 and b_order == 1
         assert phi is not None
 
     def test_swap_n3(self, swap2):
-        a, b, phi = pw.power_perm_group(pw.power_solution(swap2, 3))
-        assert a.order == 2 and b.order == 2
+        a_order, b_order, phi = pw.power_perm_group(pw.power_solution(swap2, 3))
+        assert a_order == 2 and b_order == 2
         assert phi is not None
 
     def test_adjoined_n2(self, adjoined3):
-        a, b, phi = pw.power_perm_group(pw.power_solution(adjoined3, 2))
-        assert a.order == 2 and b.order == 2
+        a_order, b_order, phi = pw.power_perm_group(pw.power_solution(adjoined3, 2))
+        assert a_order == 2 and b_order == 2
         assert phi is not None
 
     def test_always_isomorphic_over_corpus(self, corpus):
-        # φ is the pairing f_x̄ -> σ_{x₁}⋯σ_{xₙ}, an isomorphism A -> B,
-        # and the general search agrees that A and B are isomorphic
+        # the orders are those of A and B closed on their own; φ is the
+        # pairing f_x̄ -> σ_{x₁}⋯σ_{xₙ}, an isomorphism A -> B, and the
+        # general search agrees that A and B are isomorphic
         for s in corpus:
             for n in (2, 3):
                 ps = pw.power_solution(s, n)
-                a, b, phi = pw.power_perm_group(ps)
+                a, b = _oracle_groups(ps)
+                a_order, b_order, phi = pw.power_perm_group(ps)
+                assert (a_order, b_order) == (a.order, b.order)
                 assert phi is not None
                 assert _is_isomorphism(a, b, phi)
                 assert all(phi[f] == p for f, p in _pairs(ps))
@@ -256,20 +270,23 @@ class TestPowerPermGroup:
 
     def test_mismatched_pairing_returns_none(self, corpus, adjoined3):
         # the power solution of one base paired with the products of
-        # another: φ must be the pairing's isomorphism when there is one
-        # (brute force over all bijections A -> B), else None
+        # another: the orders must be those of A and B closed on their
+        # own, and φ the pairing's isomorphism when there is one (brute
+        # force over all bijections A -> B), else None
         other = sol.from_sigma([(0, 1, 2), (0, 2, 1), (0, 2, 1)])
         ps = pw.power_solution(adjoined3, 2)
-        a, b, phi = pw.power_perm_group(dataclasses.replace(ps, base=other))
-        assert a.order == b.order == 2
+        a_order, b_order, phi = pw.power_perm_group(_paired_with(ps, other))
+        assert a_order == b_order == 2
         assert phi is None
         nones = {True: 0, False: 0}
         for s, t in itertools.permutations(corpus, 2):
             if s.m != t.m:
                 continue
             for n in (2, 3):
-                mixed = dataclasses.replace(pw.power_solution(s, n), base=t)
-                a, b, phi = pw.power_perm_group(mixed)
+                mixed = _paired_with(pw.power_solution(s, n), t)
+                a, b = _oracle_groups(mixed)
+                a_order, b_order, phi = pw.power_perm_group(mixed)
+                assert (a_order, b_order) == (a.order, b.order)
                 pairs = _pairs(mixed)
                 if phi is None:
                     assert not _pairing_extends(a, b, pairs)
@@ -278,6 +295,18 @@ class TestPowerPermGroup:
                     assert _is_isomorphism(a, b, phi)
                     assert all(phi[f] == p for f, p in pairs)
         assert nones[True] and nones[False]
+
+
+def _paired_with(ps, other):
+    """ps with the base and x-products of ``other`` at the same n."""
+    products = pw.power_solution(other, ps.n).products
+    return dataclasses.replace(ps, base=other, products=products)
+
+
+def _oracle_groups(ps):
+    """A and B, each closed on its own: the group of the power solution
+    and the group of the x-products."""
+    return sol.permutation_group(ps.result), pm.close_group(dict.fromkeys(ps.products))
 
 
 def _pairs(ps):
@@ -329,8 +358,8 @@ class TestIsoCondition:
     def test_no_guarantee_and_witness(self, swap2):
         base = sol.permutation_group(swap2)
         assert pw.iso_condition(base, 2) is pw.IsoCondition.NO_GUARANTEE
-        a, _, _ = pw.power_perm_group(pw.power_solution(swap2, 2))
-        assert a.order == 1
+        a_order, _, _ = pw.power_perm_group(pw.power_solution(swap2, 2))
+        assert a_order == 1
         assert base.order == 2
 
     def test_guarantee_implies_base_isomorphism(self, corpus):
@@ -339,5 +368,7 @@ class TestIsoCondition:
             for n in (2, 3):
                 if pw.iso_condition(base, n) is pw.IsoCondition.NO_GUARANTEE:
                     continue
-                _, b, _ = pw.power_perm_group(pw.power_solution(s, n))
+                ps = pw.power_solution(s, n)
+                _, b = _oracle_groups(ps)
+                assert pw.power_perm_group(ps)[1] == b.order
                 assert pm.groups_isomorphic(b, base) is not None
