@@ -5,6 +5,10 @@ in h_1, ..., h_n; they coincide with the image of the product
 σ_{x₁}⋯σ_{xₙ} under an embedding ψ: Sym_X → Sym_{Xⁿ}. power_solution and
 f_map build rows by the recursion; the ψ route is an independent code
 path, cross-checked in tests and never used to build the table.
+
+Xⁿ is identified with {0,...,mⁿ-1} in one place, ``_codes``: lex order
+with x₁ most significant. Every n-tuple passed in is checked by
+``check_tuple``.
 """
 
 from __future__ import annotations
@@ -24,41 +28,6 @@ from .solution import Solution
 DEFAULT_POWER_CAP = 4096
 
 
-@dataclass(frozen=True)
-class TupleCodec:
-    """Fixes the identification of Xⁿ with {0,...,mⁿ-1}.
-
-    Encoding is lexicographic with the first tuple component most
-    significant: encode(x₁,...,xₙ) = Σ x_j · m^(n-j).
-    """
-
-    m: int
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"tuple length must be at least 1, got {self.n}")
-
-    def encode(self, tup) -> int:
-        if len(tup) != self.n:
-            raise ValueError(f"expected a {self.n}-tuple, got {len(tup)} entries")
-        code = 0
-        for x in tup:
-            if not 0 <= x < self.m:
-                raise ValueError(f"tuple entry {x} out of range for m={self.m}")
-            code = code * self.m + x
-        return code
-
-    def decode(self, code: int) -> tuple[int, ...]:
-        if not 0 <= code < self.m**self.n:
-            raise ValueError(f"code {code} out of range for {self.m}^{self.n}")
-        out = []
-        for _ in range(self.n):
-            out.append(code % self.m)
-            code //= self.m
-        return tuple(reversed(out))
-
-
 class IsoCondition(enum.Enum):
     """Predicted reason the power group matches the base group, if any."""
 
@@ -71,8 +40,7 @@ class IsoCondition(enum.Enum):
 class PowerSolution:
     base: Solution
     n: int
-    codec: TupleCodec
-    result: Solution  # row c is f_x̄ for x̄ = codec.decode(c)
+    result: Solution  # row c is f_x̄ for x̄ the tuple with code c in _codes
     products: tuple[Perm, ...]  # entry c is σ_{x₁}⋯σ_{xₙ} for the same x̄
 
 
@@ -92,6 +60,16 @@ def check_degree(m: int, n: int, cap: int) -> None:
         raise SizeCapExceeded(f"degree {m}^{n} exceeds cap {cap}")
 
 
+def check_tuple(m: int, tup) -> None:
+    """Raise ValueError unless ``tup`` is a nonempty tuple of points of
+    {0,...,m-1}: the one check of an n-tuple passed in from outside."""
+    if not tup:
+        raise ValueError("tuples must not be empty")
+    for x in tup:
+        if not 0 <= x < m:
+            raise ValueError(f"tuple entry {x} out of range for m={m}")
+
+
 def psi_apply(sigma_table, tau: Perm, ybar) -> tuple[int, ...]:
     """Image of ȳ under the embedded permutation for τ.
 
@@ -101,7 +79,7 @@ def psi_apply(sigma_table, tau: Perm, ybar) -> tuple[int, ...]:
     m = len(tau)
     if len(sigma_table) != m:
         raise ValueError(f"tau has degree {m}, expected {len(sigma_table)}")
-    TupleCodec(m, len(ybar)).encode(ybar)  # validates the entries
+    check_tuple(m, ybar)
     sigma = [tuple(s) for s in sigma_table]
     t = [tau[ybar[0]]]
     acc_t = sigma[t[0]]  # σ(t_1)∘⋯∘σ(t_j), leftmost acts last
@@ -115,20 +93,12 @@ def psi_apply(sigma_table, tau: Perm, ybar) -> tuple[int, ...]:
     return tuple(t)
 
 
-def psi_inverse_apply(sigma_table, tau: Perm, ybar) -> tuple[int, ...]:
-    """Inverse of psi_apply: ψ is a homomorphism, so ψ(τ)⁻¹ = ψ(τ⁻¹)."""
-    return psi_apply(sigma_table, pm.inverse(tau), ybar)
-
-
 def psi_perm(sigma_table, tau: Perm, n: int, cap: int = DEFAULT_POWER_CAP) -> Perm:
     """The embedded permutation as a Perm of degree mⁿ."""
     m = len(tau)
     check_degree(m, n, cap)
-    codec = TupleCodec(m, n)
-    return tuple(
-        codec.encode(psi_apply(sigma_table, tau, ybar))
-        for ybar in itertools.product(range(m), repeat=n)
-    )
+    codes = _codes(m, n)
+    return tuple(codes[psi_apply(sigma_table, tau, ybar)] for ybar in codes)
 
 
 def _sigma_product(sigma, xbar) -> Perm:
@@ -159,7 +129,9 @@ def _f_tuple(sigma, inv, sig_x, ybar) -> tuple[int, ...]:
 
 
 def _codes(m: int, n: int) -> dict:
-    """Each tuple of Xⁿ to its code, in TupleCodec's lex-msb order."""
+    """Each tuple of Xⁿ to its code: the one identification of Xⁿ with
+    {0,...,mⁿ-1}, in lex order with x₁ most significant, so that
+    (x₁,...,xₙ) has code Σ x_j · m^(n-j). Its keys are Xⁿ in code order."""
     return {t: c for c, t in enumerate(itertools.product(range(m), repeat=n))}
 
 
@@ -170,7 +142,9 @@ def _f_row(sigma, inv, sig_x, codes) -> Perm:
 
 def f_map(s: Solution, xbar, n: int, cap: int = DEFAULT_POWER_CAP) -> Perm:
     """The permutation f_x̄ of degree mⁿ, from the h_j recursion."""
-    TupleCodec(s.m, n).encode(xbar)  # validates x̄
+    if len(xbar) != n:
+        raise ValueError(f"expected a {n}-tuple, got {len(xbar)} entries")
+    check_tuple(s.m, xbar)
     check_degree(s.m, n, cap)
     inv = [pm.inverse(p) for p in s.sigma]
     return _f_row(s.sigma, inv, _sigma_product(s.sigma, xbar), _codes(s.m, n))
@@ -185,15 +159,13 @@ def power_solution(s: Solution, n: int, cap: int = DEFAULT_POWER_CAP) -> PowerSo
     inv = [pm.inverse(p) for p in s.sigma]
     products = tuple(_sigma_product(s.sigma, xbar) for xbar in codes)
     sigma = tuple(_f_row(s.sigma, inv, p, codes) for p in products)
-    return PowerSolution(s, n, TupleCodec(s.m, n), sol.from_sigma(sigma), products)
+    return PowerSolution(s, n, sol.from_sigma(sigma), products)
 
 
 def power_solution_n2_direct(s: Solution, x1, x2, y1, y2) -> tuple[int, int]:
     """Closed n=2 formula:
     (σ_{x₁}σ_{x₂}(y₁), σ⁻¹_{σ_{x₁}σ_{x₂}(y₁)} σ_{x₁}σ_{x₂}σ_{y₁}(y₂))."""
-    for v in (x1, x2, y1, y2):
-        if not 0 <= v < s.m:
-            raise ValueError(f"index {v} out of range for m={s.m}")
+    check_tuple(s.m, (x1, x2, y1, y2))
     prod = pm.compose(s.sigma[x1], s.sigma[x2])
     first = prod[y1]
     second = pm.inverse(s.sigma[first])[prod[s.sigma[y1][y2]]]

@@ -25,6 +25,7 @@ AXIOMS = (
 )
 
 ENUMERATION_BOUND = 4  # largest m that enumerate_solutions searches
+REPORT_BOUND_M = 256  # largest m whose rejection from_sigma reports, in O(m³)
 ISOMORPHISM_CAP_M = 8  # largest m whose m! relabelings solutions_isomorphic tries
 
 
@@ -195,7 +196,8 @@ def _is_solution(sigma) -> bool:
 def from_sigma(sigmas) -> Solution:
     """Build a Solution from its σ-table. Accepts in O(N²) steps by
     ``_is_solution``; on failure raises AxiomError carrying the
-    five-axiom VerifyReport of ``verify_tables``."""
+    five-axiom VerifyReport of ``verify_tables``, which takes up to N³
+    steps, so above REPORT_BOUND_M it raises SizeCapExceeded instead."""
     if not sigmas:
         raise ValueError("empty sigma table")
     m = len(sigmas)
@@ -210,6 +212,10 @@ def from_sigma(sigmas) -> Solution:
         sigma.append(row)
     sigma = tuple(sigma)
     if not _is_solution(sigma):
+        if m > REPORT_BOUND_M:
+            raise SizeCapExceeded(
+                f"not a solution; report bound {REPORT_BOUND_M} exceeded (m={m})"
+            )
         report = verify_tables(sigma)
         failed = [a for a in AXIOMS if not getattr(report, a)]
         raise AxiomError(

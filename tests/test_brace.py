@@ -214,11 +214,19 @@ class TestEq31:
         with pytest.raises(ValueError):
             br.check_eq_3_1(lt, (0, 0), (0, 4))
         with pytest.raises(ValueError):
+            br.check_eq_3_1(lt, (-1, 0), (0, 0))
+        with pytest.raises(ValueError):
+            br.check_eq_3_1(lt, (0, 0), (0, -1))
+        with pytest.raises(ValueError):
             br.eq_3_1_key(lt, ())
         with pytest.raises(ValueError):
             br.eq_3_1_key(lt, (0, 4))
         with pytest.raises(ValueError):
+            br.eq_3_1_key(lt, (0, -1))
+        with pytest.raises(ValueError):
             br.eq_3_1_sampled_failures(lt, [((0, 1), (0, 4))])
+        with pytest.raises(ValueError):
+            br.eq_3_1_sampled_failures(lt, [((0, 1), (-1, 0))])
 
     def test_cap(self, brace_z4):
         # 4⁷ tuples exceed the default cap of 4096
@@ -262,6 +270,15 @@ class TestFindBraces:
     def test_bound(self):
         with pytest.raises(SizeCapExceeded):
             br.find_braces(7)
+
+    def test_labelled_counts_without_repeats(self):
+        # the scan finds no brace twice, so it keeps no dedup set
+        counts = []
+        for k in range(1, 7):
+            found = [(b.add, b.mul) for b in br.find_braces(k)]
+            assert len(set(found)) == len(found)
+            counts.append(len(found))
+        assert counts == [1, 1, 1, 6, 1, 2]
 
     def test_deterministic_order(self):
         a = [(b.add, b.mul) for b in br.find_braces(4)]

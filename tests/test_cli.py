@@ -1,4 +1,5 @@
 import gc
+import time
 
 import pytest
 
@@ -91,6 +92,41 @@ class TestVerify:
             code, _, err = run(capsys, *argv)
             assert code == 2, argv
             assert "cannot" in err
+
+
+def _one_swap_table(n):
+    """Every σ-row the identity but the last, which swaps the last two
+    points: rejected, with its first braid counterexample late."""
+    rows = [list(range(n)) for _ in range(n)]
+    rows[-1][-2:] = [n - 1, n - 2]
+    return f"{n}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows)
+
+
+class TestRejectionReport:
+    def test_report_within_bound(self, capsys, tmp_path):
+        p = tmp_path / "bad64.txt"
+        p.write_text(_one_swap_table(64))
+        assert run(capsys, "verify", str(p)) == (
+            1,
+            "involutive: pass\n"
+            "left_nondegenerate: pass\n"
+            "right_nondegenerate: FAIL at (62,)\n"
+            "braid_direct: FAIL at (62, 62, 63)\n"
+            "braid_sigma_condition: FAIL at (62, 63)\n",
+            "",
+        )
+
+    def test_past_bound_exits_3_without_report(self, capsys, monkeypatch, tmp_path):
+        p = tmp_path / "bad257.txt"
+        p.write_text(_one_swap_table(257))
+        calls = []
+        monkeypatch.setattr(sol, "verify_tables", lambda *a: calls.append(a))
+        err = "error: not a solution; report bound 256 exceeded (m=257)\n"
+        for command in ("verify", "permgroup"):
+            start = time.perf_counter()
+            assert run(capsys, command, str(p)) == (3, "", err)
+            assert time.perf_counter() - start < 1.0
+        assert calls == []
 
 
 class TestPower:

@@ -9,29 +9,6 @@ from ybe import solution as sol
 from ybe.errors import SizeCapExceeded
 
 
-class TestTupleCodec:
-    def test_msb_first(self):
-        codec = pw.TupleCodec(3, 2)
-        assert codec.encode((1, 2)) == 5
-        assert codec.decode(5) == (1, 2)
-
-    def test_round_trip(self):
-        codec = pw.TupleCodec(3, 3)
-        for tup in itertools.product(range(3), repeat=3):
-            assert codec.decode(codec.encode(tup)) == tup
-        for code in range(27):
-            assert codec.encode(codec.decode(code)) == code
-
-    def test_out_of_range(self):
-        codec = pw.TupleCodec(2, 2)
-        with pytest.raises(ValueError):
-            codec.encode((0, 2))
-        with pytest.raises(ValueError):
-            codec.decode(4)
-        with pytest.raises(ValueError):
-            pw.TupleCodec(2, 0)
-
-
 class TestPsiApply:
     def test_identity_sigma_gives_diagonal_action(self):
         sigma = (pm.identity(3),) * 3
@@ -53,28 +30,31 @@ class TestPsiApply:
         with pytest.raises(ValueError):
             pw.psi_apply(swap2.sigma, (1, 0), (0, 2))
         with pytest.raises(ValueError):
+            pw.psi_apply(swap2.sigma, (1, 0), (0, -1))
+        with pytest.raises(ValueError):
             pw.psi_apply(swap2.sigma, (1, 0), ())
         with pytest.raises(ValueError):
             pw.psi_apply(swap2.sigma, (1, 0, 2), (0, 0))
 
 
 class TestPsiInverse:
+    # ψ is a homomorphism, so ψ(τ⁻¹) must undo ψ(τ)
     def test_identity_tau(self, swap2):
         for ybar in itertools.product(range(2), repeat=3):
-            assert pw.psi_inverse_apply(swap2.sigma, pm.identity(2), ybar) == ybar
+            assert pw.psi_apply(swap2.sigma, pm.identity(2), ybar) == ybar
 
     def test_round_trip_swap(self, swap2):
         tau = (1, 0)
         for ybar in itertools.product(range(2), repeat=2):
             fwd = pw.psi_apply(swap2.sigma, tau, ybar)
-            assert pw.psi_inverse_apply(swap2.sigma, tau, fwd) == ybar
+            assert pw.psi_apply(swap2.sigma, pm.inverse(tau), fwd) == ybar
 
     def test_identity_sigma_componentwise_inverse(self):
         sigma = (pm.identity(3),) * 3
         tau = (1, 2, 0)
         tau_inv = pm.inverse(tau)
         for ybar in itertools.product(range(3), repeat=2):
-            assert pw.psi_inverse_apply(sigma, tau, ybar) == tuple(
+            assert pw.psi_apply(sigma, tau_inv, ybar) == tuple(
                 tau_inv[y] for y in ybar
             )
 
@@ -84,7 +64,7 @@ class TestPsiInverse:
                 for tau in pm.all_perms(s.m):
                     for ybar in itertools.product(range(s.m), repeat=n):
                         fwd = pw.psi_apply(s.sigma, tau, ybar)
-                        assert pw.psi_inverse_apply(s.sigma, tau, fwd) == ybar
+                        assert pw.psi_apply(s.sigma, pm.inverse(tau), fwd) == ybar
 
 
 class TestPsiPerm:
@@ -138,6 +118,8 @@ class TestFMap:
             pw.f_map(swap2, (), 0)
         with pytest.raises(ValueError):
             pw.f_map(swap2, (0, 2), 2)
+        with pytest.raises(ValueError):
+            pw.f_map(swap2, (-1, 0), 2)
 
     def test_equals_psi_of_product_everywhere(self, corpus):
         for s in corpus:
@@ -180,7 +162,7 @@ class TestPowerSolution:
 
     def test_rows_are_psi_of_products(self, corpus):
         # each row against the ψ route, and each stored product against
-        # the product of the decoded x̄, not the loop that built them
+        # the product of the c-th tuple x̄, not the loop that built them
         for s in corpus:
             for n in (2, 3):
                 ps = pw.power_solution(s, n)
@@ -213,17 +195,19 @@ class TestN2Direct:
             assert pw.power_solution_n2_direct(swap2, x1, x2, y1, y2) == (y1, y2)
 
     def test_agrees_with_f_map(self, corpus):
+        # (y₁, y₂) has code y₁·m + y₂: lex order, y₁ most significant
         for s in corpus:
-            codec = pw.TupleCodec(s.m, 2)
             for x1, x2 in itertools.product(range(s.m), repeat=2):
                 f = pw.f_map(s, (x1, x2), 2)
                 for y1, y2 in itertools.product(range(s.m), repeat=2):
-                    got = pw.power_solution_n2_direct(s, x1, x2, y1, y2)
-                    assert codec.encode(got) == f[codec.encode((y1, y2))]
+                    z1, z2 = pw.power_solution_n2_direct(s, x1, x2, y1, y2)
+                    assert z1 * s.m + z2 == f[y1 * s.m + y2]
 
     def test_out_of_range(self, swap2):
         with pytest.raises(ValueError):
             pw.power_solution_n2_direct(swap2, 0, 0, 0, 2)
+        with pytest.raises(ValueError):
+            pw.power_solution_n2_direct(swap2, 0, -1, 0, 0)
 
 
 class TestPowerPermGroup:
@@ -310,10 +294,11 @@ def _oracle_groups(ps):
 
 
 def _pairs(ps):
-    """(f_x̄, σ_{x₁}⋯σ_{xₙ}) for every x̄, with the products of ps.base."""
+    """(f_x̄, σ_{x₁}⋯σ_{xₙ}) for every x̄, with the products of ps.base;
+    row c is f_x̄ for the c-th tuple x̄ in lex order."""
     out = []
-    for c, f in enumerate(ps.result.sigma):
-        xbar = ps.codec.decode(c)
+    xbars = itertools.product(range(ps.base.m), repeat=ps.n)
+    for f, xbar in zip(ps.result.sigma, xbars, strict=True):
         prod = ps.base.sigma[xbar[0]]
         for x in xbar[1:]:
             prod = pm.compose(prod, ps.base.sigma[x])

@@ -47,6 +47,17 @@ class TestFromSigma:
                 rejected += 1
         assert rejected == (4 - 2) + (216 - 12)
 
+    def test_report_bound(self, monkeypatch):
+        # past the bound a rejection is declined, not reported: the
+        # report costs up to m³ steps; an accepted table is unaffected
+        monkeypatch.setattr(sol, "REPORT_BOUND_M", 3)
+        bad = [(0, 1, 2), (0, 1, 2), (0, 2, 1)]
+        with pytest.raises(AxiomError):
+            sol.from_sigma(bad)
+        with pytest.raises(SizeCapExceeded):
+            sol.from_sigma([row + (3,) for row in bad] + [(0, 1, 3, 2)])
+        assert sol.from_sigma([(1, 0, 2, 3)] * 4).m == 4
+
     def test_non_bijective_row_rejected(self):
         with pytest.raises(AxiomError):
             sol.from_sigma([(0, 0), (0, 1)])

@@ -2,7 +2,10 @@
 
 import ast
 import sys
+import types
 from pathlib import Path
+
+import ybe
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ybe"
 
@@ -40,3 +43,18 @@ def test_package_imports_only_stdlib():
                 if name.split(".")[0] not in sys.stdlib_module_names
             )
     assert found == []
+
+
+def test_all_names_exactly_the_public_api():
+    # a name half removed (dropped from the imports but left in
+    # __all__, or the reverse) fails here rather than at a user's import
+    namespace = {}
+    exec("from ybe import *", namespace)
+    assert all(hasattr(ybe, name) for name in ybe.__all__)
+    assert len(set(ybe.__all__)) == len(ybe.__all__)
+    public = {
+        name
+        for name, value in vars(ybe).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(ybe.__all__)
