@@ -247,16 +247,14 @@ def eq_3_1_sampled_failures(lt: LambdaTable, pairs) -> int:
     distinct x̄ keyed once. Verdicts are not kept: drawing a pair costs
     about as much as checking it, and a verdict per distinct (key, ȳ)
     would hold up to k·kⁿ entries for a brace."""
-    keys = {}      # x̄ -> its key
-    interned = {}  # one object per distinct key, shared by its x̄
+    keys = {}  # x̄ -> its key
     failures = 0
     for xbar, ybar in pairs:
         if len(ybar) != len(xbar):
             raise ValueError("tuples must have equal length")
         key = keys.get(xbar)
         if key is None:
-            key = eq_3_1_key(lt, xbar)
-            key = keys[xbar] = interned.setdefault(key, key)
+            key = keys[xbar] = eq_3_1_key(lt, xbar)
         pw.check_tuple(lt.owner.k, ybar)
         failures += not _eq_3_1_holds(lt, key, ybar)
     return failures

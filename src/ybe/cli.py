@@ -102,11 +102,7 @@ def cmd_enumerate(args):
     found = sol.enumerate_solutions(args.m)
     print(f"count: {len(found)}")
     if args.dedup:
-        classes = []
-        for s in found:
-            if not any(sol.solutions_isomorphic(s, rep) is not None for rep in classes):
-                classes.append(s)
-        print(f"count up to isomorphism: {len(classes)}")
+        print(f"count up to isomorphism: {len(set(map(sol.canonical_form, found)))}")
     if args.outdir:
         outdir = Path(args.outdir)
         try:

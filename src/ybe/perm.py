@@ -83,17 +83,10 @@ class GeneratedGroup:
     generators: tuple[Perm, ...]
     elements: tuple[Perm, ...]
     parents: tuple[tuple[int, int], ...] = field(repr=False, compare=False)
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {e: i for i, e in enumerate(self.elements)})
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, p: Perm) -> bool:
-        return tuple(p) in self._index
 
     def element_order_multiset(self) -> tuple[int, ...]:
         """Sorted tuple of element orders; an isomorphism invariant."""

@@ -26,7 +26,7 @@ AXIOMS = (
 
 ENUMERATION_BOUND = 4  # largest m that enumerate_solutions searches
 REPORT_BOUND_M = 256  # largest m whose rejection from_sigma reports, in O(m³)
-ISOMORPHISM_CAP_M = 8  # largest m whose m! relabelings solutions_isomorphic tries
+ISOMORPHISM_CAP_M = 8  # largest m whose m! relabelings are tried
 
 
 @dataclass(frozen=True)
@@ -319,21 +319,31 @@ def enumerate_solutions(m: int) -> list[Solution]:
     return out
 
 
-def solutions_isomorphic(a: Solution, b: Solution):
-    """A relabeling φ with σ_{φ(x)} = φ∘σ_x∘φ⁻¹ for all x, or None.
+def _relabelled(sigma, phi) -> tuple[Perm, ...]:
+    """The σ-table carried along the relabeling φ: row φ(x) is
+    φ∘σ_x∘φ⁻¹. The one place the relabeling action is written."""
+    phi_inv = pm.inverse(phi)
+    return tuple(tuple(phi[sigma[x][y]] for y in phi_inv) for x in phi_inv)
 
-    Exhaustive over all m! bijections; declined above ISOMORPHISM_CAP_M.
-    """
-    m = a.m
-    if m != b.m:
-        return None
+
+def _relabelings(m: int):
+    """The m! relabelings in lexicographic order; declined above ISOMORPHISM_CAP_M."""
     if m > ISOMORPHISM_CAP_M:
         raise SizeCapExceeded(f"isomorphism search declined above m={ISOMORPHISM_CAP_M}")
-    for phi in itertools.permutations(range(m)):
-        phi_inv = pm.inverse(phi)
-        if all(
-            b.sigma[phi[x]] == pm.compose(phi, pm.compose(a.sigma[x], phi_inv))
-            for x in range(m)
-        ):
-            return phi
-    return None
+    return itertools.permutations(range(m))
+
+
+def canonical_form(s: Solution) -> tuple[Perm, ...]:
+    """The lexicographically least σ-table among the m! relabelings of
+    s: two solutions are isomorphic iff their canonical forms are equal."""
+    return min(_relabelled(s.sigma, phi) for phi in _relabelings(s.m))
+
+
+def solutions_isomorphic(a: Solution, b: Solution):
+    """The lexicographically first relabeling φ with
+    σ_{φ(x)} = φ∘σ_x∘φ⁻¹ for all x, or None; the tests' oracle for
+    ``canonical_form``. Declined above ISOMORPHISM_CAP_M."""
+    if a.m != b.m:
+        return None
+    found = (phi for phi in _relabelings(a.m) if _relabelled(a.sigma, phi) == b.sigma)
+    return next(found, None)

@@ -269,6 +269,15 @@ class TestEnumerate:
         assert "count: 168" in out
         assert "count up to isomorphism: 23" in out
 
+    def test_dedup_makes_no_isomorphism_search(self, capsys, monkeypatch):
+        # --dedup counts canonical forms; the pairwise search is an oracle
+        calls = []
+        monkeypatch.setattr(sol, "solutions_isomorphic", lambda *a: calls.append(a))
+        code, out, _ = run(capsys, "enumerate", "4", "--dedup")
+        assert code == 0
+        assert "count up to isomorphism: 23" in out
+        assert calls == []
+
     def test_writes_canonical_files(self, capsys, tmp_path):
         outdir = tmp_path / "sols"
         code, _, _ = run(capsys, "enumerate", "2", "--outdir", str(outdir))

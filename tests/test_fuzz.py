@@ -86,6 +86,19 @@ def test_brace_round_trip(data):
     assert files.emit_brace(again) == text
 
 
+@fuzz
+@given(st.data())
+def test_canonical_form_is_least_and_invariant_under_relabeling(data):
+    # relabel_solution is written with compose, apart from the package's
+    # own relabeling action
+    s = data.draw(st.sampled_from(SOLUTIONS))
+    phi = tuple(data.draw(st.permutations(range(s.m))))
+    relabelled = relabel_solution(s, phi)
+    form = sol.canonical_form(s)
+    assert sol.canonical_form(relabelled) == form
+    assert form <= relabelled.sigma  # the least table of the class
+
+
 def exit_code(argv):
     """``cli.main``'s exit code; argparse's own exits count as exits."""
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):

@@ -90,8 +90,8 @@ class TestCloseGroup:
 
     def test_contains_identity_and_generators(self):
         g = pm.close_group([(1, 2, 3, 0)])
-        assert pm.identity(4) in g
-        assert (1, 2, 3, 0) in g
+        assert pm.identity(4) in g.elements
+        assert (1, 2, 3, 0) in g.elements
 
     def test_lagrange(self):
         for gens in [[(1, 0, 2)], [(1, 2, 0)], [(1, 0, 2), (0, 2, 1)]]:
@@ -106,9 +106,9 @@ class TestCloseGroup:
     def test_closed_under_composition_and_inverse(self):
         g = pm.close_group([(1, 2, 3, 0)])
         for a in g.elements:
-            assert pm.inverse(a) in g
+            assert pm.inverse(a) in g.elements
             for b in g.elements:
-                assert pm.compose(a, b) in g
+                assert pm.compose(a, b) in g.elements
 
     def test_associativity_exhaustive_small(self):
         g = pm.close_group([(1, 0, 2), (0, 2, 1)])  # all of Sym_3

@@ -299,3 +299,40 @@ class TestSolutionsIsomorphic:
             inv = pm.inverse(phi)
             for x in range(3):
                 assert b.sigma[phi[x]] == pm.compose(phi, pm.compose(a.sigma[x], inv))
+
+
+class TestCanonicalForm:
+    @staticmethod
+    def _pairwise_classes(found):
+        # the oracle: each solution joins the first class whose
+        # representative solutions_isomorphic matches, else opens one
+        classes = []
+        for i, s in enumerate(found):
+            for cls in classes:
+                if sol.solutions_isomorphic(s, found[cls[0]]) is not None:
+                    cls.append(i)
+                    break
+            else:
+                classes.append([i])
+        return {frozenset(cls) for cls in classes}
+
+    @pytest.mark.parametrize("m, count", [(1, 1), (2, 2), (3, 5), (4, 23)])
+    def test_partition_matches_pairwise_search(self, m, count):
+        # class counts from Etingof-Schedler-Soloviev (1999)
+        found = sol.enumerate_solutions(m)
+        by_form = {}
+        for i, s in enumerate(found):
+            by_form.setdefault(sol.canonical_form(s), set()).add(i)
+        partition = {frozenset(cls) for cls in by_form.values()}
+        assert partition == self._pairwise_classes(found)
+        assert len(partition) == count
+
+    def test_form_is_an_isomorphic_solution(self):
+        for m in (1, 2, 3, 4):
+            for s in sol.enumerate_solutions(m):
+                form = sol.canonical_form(s)
+                assert sol.solutions_isomorphic(s, sol.from_sigma(form)) is not None
+
+    def test_cap(self):
+        with pytest.raises(SizeCapExceeded):
+            sol.canonical_form(sol.trivial(9))

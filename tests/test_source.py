@@ -9,6 +9,18 @@ import ybe
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ybe"
 
+# The independent oracles the tests compare against; no command calls one
+ORACLES = {
+    "solutions_isomorphic",
+    "groups_isomorphic",
+    "verify_tables",
+    "psi_apply",
+    "psi_perm",
+    "f_map",
+    "power_solution_n2_direct",
+    "check_eq_3_1",
+}
+
 
 def test_no_assert_in_package():
     # python -O strips assert statements, so no invariant may rely on one
@@ -58,3 +70,21 @@ def test_all_names_exactly_the_public_api():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set(ybe.__all__)
+
+
+def test_cli_calls_no_oracle():
+    # names and attributes in the syntax tree, so comments do not count
+    path = SRC / "cli.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in ORACLES:
+            found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
