@@ -84,13 +84,13 @@ def cmd_power(args):
     pw.check_degree(s.m, args.n, args.cap)
     base = sol.permutation_group(s, cap=args.cap)
     ps = pw.power_solution(s, args.n, cap=args.cap)
-    a_order, b_order, phi = pw.power_perm_group(ps)
+    a_order, b_order, isomorphic = pw.power_perm_group(ps)
     cond = pw.iso_condition(base, args.n)
     print(f"base group order: {base.order}")
     print(f"power group order: {a_order}")
     print(f"product subgroup order: {b_order}")
     print(f"classification: {cond.value}")
-    print(f"isomorphic: {'yes' if phi is not None else 'no'}")
+    print(f"isomorphic: {'yes' if isomorphic else 'no'}")
     if args.out:
         header = f"power m={s.m} n={args.n} encoding=lex-msb-first"
         _write(args.out, files.emit_solution(ps.result, header=header))

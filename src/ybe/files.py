@@ -55,20 +55,28 @@ def _parse_row(lineno, line, width, upper, what):
     return tuple(row)
 
 
-def parse_sigma_table(text):
-    """Parse a solution file into its raw σ-table (rows validated as
-    bijections) without running the axiom checks."""
+def _parse_header(text, what):
+    """(value, body): the positive integer on the first content line,
+    named ``what`` in errors, and the content lines after it."""
     lines = _content_lines(text)
     if not lines:
         raise ParseError("empty file", category="count")
     lineno, header = lines[0]
     tokens = header.split()
     if len(tokens) != 1:
-        raise ParseError("expected a single size on the first line", line=lineno)
-    m = _parse_int(tokens[0], lineno, "size")
-    if m < 1:
-        raise ParseError(f"size must be at least 1, got {m}", category="range", line=lineno)
-    body = lines[1:]
+        raise ParseError(f"expected a single {what} on the first line", line=lineno)
+    value = _parse_int(tokens[0], lineno, what)
+    if value < 1:
+        raise ParseError(
+            f"{what} must be at least 1, got {value}", category="range", line=lineno
+        )
+    return value, lines[1:]
+
+
+def parse_sigma_table(text):
+    """Parse a solution file into its raw σ-table (rows validated as
+    bijections) without running the axiom checks."""
+    m, body = _parse_header(text, "size")
     if len(body) != m:
         raise ParseError(
             f"expected {m} permutation rows, got {len(body)}", category="count"
@@ -100,17 +108,7 @@ def emit_solution(s: Solution, header: str | None = None) -> str:
 
 
 def parse_brace(text) -> Brace:
-    lines = _content_lines(text)
-    if not lines:
-        raise ParseError("empty file", category="count")
-    lineno, header = lines[0]
-    tokens = header.split()
-    if len(tokens) != 1:
-        raise ParseError("expected a single order on the first line", line=lineno)
-    k = _parse_int(tokens[0], lineno, "order")
-    if k < 1:
-        raise ParseError(f"order must be at least 1, got {k}", category="range", line=lineno)
-    body = lines[1:]
+    k, body = _parse_header(text, "order")
     if len(body) != 2 * k:
         raise ParseError(
             f"expected {2 * k} table rows (add then mul), got {len(body)}",

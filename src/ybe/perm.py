@@ -8,7 +8,7 @@ The composition convention throughout the package is
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import SizeCapExceeded
 
@@ -74,15 +74,11 @@ class GeneratedGroup:
 
     ``elements`` is the full closure in a deterministic breadth-first
     order starting from the identity, applying generators in input order.
-    ``parents[i - 1] = (p, gi)`` says that ``elements[i]`` was first
-    reached as ``compose(elements[p], generators[gi])``: the BFS tree
-    rooted at the identity.
     """
 
     degree: int
     generators: tuple[Perm, ...]
     elements: tuple[Perm, ...]
-    parents: tuple[tuple[int, int], ...] = field(repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -96,8 +92,10 @@ class GeneratedGroup:
 def close_group(generators, cap: int = DEFAULT_CAP) -> GeneratedGroup:
     """Close a nonempty generator list under composition.
 
-    Finite order makes inverse-closure automatic. Raises SizeCapExceeded
-    if the closure grows past ``cap``.
+    The elements are kept in one insertion-ordered dict, so their order
+    is the breadth-first order of discovery. Finite order makes
+    inverse-closure automatic. Raises SizeCapExceeded if the closure
+    grows past ``cap``.
     """
     gens = [perm(g) for g in generators]
     if not gens:
@@ -107,32 +105,22 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> GeneratedGroup:
         if len(g) != m:
             raise ValueError(f"degree mismatch among generators: {m} vs {len(g)}")
 
-    ident = identity(m)
-    elements = [ident]
-    parents = []
-    seen = {ident}
-    frontier = [0]
+    elements = {identity(m): None}
+    frontier = list(elements)
     while frontier:
         nxt = []
-        for ei in frontier:
-            for gi, g in enumerate(gens):
-                c = compose(elements[ei], g)
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(len(elements))
-                    elements.append(c)
-                    parents.append((ei, gi))
+        for e in frontier:
+            for g in gens:
+                c = compose(e, g)
+                if c not in elements:
+                    elements[c] = None
+                    nxt.append(c)
                     if len(elements) > cap:
                         raise SizeCapExceeded(
                             f"group closure exceeded cap of {cap} elements"
                         )
         frontier = nxt
-    return GeneratedGroup(
-        degree=m,
-        generators=tuple(gens),
-        elements=tuple(elements),
-        parents=tuple(parents),
-    )
+    return GeneratedGroup(degree=m, generators=tuple(gens), elements=tuple(elements))
 
 
 def groups_isomorphic(g: GeneratedGroup, h: GeneratedGroup, cap: int = DEFAULT_CAP):
@@ -158,17 +146,16 @@ def groups_isomorphic(g: GeneratedGroup, h: GeneratedGroup, cap: int = DEFAULT_C
     ident_h = identity(h.degree)
 
     def build(images):
-        # extend the generator images along the BFS tree of g
-        imgs = [ident_h]
-        used = {ident_h}
-        for p, gi in g.parents:
-            img = compose(imgs[p], images[gi])
-            if img in used:
-                return None
-            imgs.append(img)
-            used.add(img)
-        phi = dict(zip(g.elements, imgs))
-        # well-defined on the tree and injective; confirm it is a morphism
+        # extend the generator images along g's breadth-first order, in
+        # which each element is mapped before anything is reached from it
+        phi = {g.elements[0]: ident_h}
+        for a in g.elements:
+            for x, img in zip(gens, images):
+                phi.setdefault(compose(a, x), compose(phi[a], img))
+        if len(set(phi.values())) != len(phi):
+            return None
+        # well-defined on the first-reached paths and injective; confirm
+        # it is a morphism
         for a in g.elements:
             for b in g.elements:
                 if phi[compose(a, b)] != compose(phi[a], phi[b]):

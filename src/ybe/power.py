@@ -173,10 +173,10 @@ def power_solution_n2_direct(s: Solution, x1, x2, y1, y2) -> tuple[int, int]:
 
 
 def power_perm_group(ps: PowerSolution):
-    """(|A|, |B|, φ): A the permutation group of the power solution, B
-    the subgroup of Sym_m generated by all products σ_{x₁}⋯σ_{xₙ}, and φ
-    the isomorphism A -> B that sends f_x̄ to σ_{x₁}⋯σ_{xₙ}, or None if
-    that pairing is not one.
+    """(|A|, |B|, isomorphic): A the permutation group of the power
+    solution, B the subgroup of Sym_m generated by all products
+    σ_{x₁}⋯σ_{xₙ}, and whether the pairing f_x̄ ↦ σ_{x₁}⋯σ_{xₙ} extends
+    to an isomorphism A -> B.
 
     The pairs (f_x̄, σ_{x₁}⋯σ_{xₙ}) generate a subgroup D of A × B whose
     projections are A and B, so D is the graph of an isomorphism exactly
@@ -186,9 +186,7 @@ def power_perm_group(ps: PowerSolution):
     d = pm.close_group([f + tuple(deg + v for v in p) for f, p in pairs])
     a_order = len({e[:deg] for e in d.elements})
     b_order = len({e[deg:] for e in d.elements})
-    if not d.order == a_order == b_order:
-        return a_order, b_order, None
-    return a_order, b_order, {e[:deg]: tuple(v - deg for v in e[deg:]) for e in d.elements}
+    return a_order, b_order, d.order == a_order == b_order
 
 
 def iso_condition(base: GeneratedGroup, n: int) -> IsoCondition:

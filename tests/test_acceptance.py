@@ -109,8 +109,8 @@ def test_criterion_5_closed_n2_formula(corpus):
 def test_criterion_6_power_group_comparison(corpus, swap2, adjoined3):
     for s in corpus:
         for n in (2, 3):
-            _, _, phi = pw.power_perm_group(pw.power_solution(s, n))
-            assert phi is not None, (s.sigma, n)
+            _, _, iso = pw.power_perm_group(pw.power_solution(s, n))
+            assert iso, (s.sigma, n)
     # case 1: a fixed point forces the base group at every exponent
     base_adj = sol.permutation_group(adjoined3)
     for n in (2, 3):

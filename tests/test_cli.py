@@ -150,6 +150,12 @@ class TestPower:
         assert "classification: FixedPointPresent" in out
         assert "isomorphic: yes" in out
 
+    def test_not_isomorphic_prints_no(self, capsys, monkeypatch, swap2_file):
+        monkeypatch.setattr(pw, "power_perm_group", lambda ps: (2, 1, False))
+        code, out, _ = run(capsys, "power", swap2_file, "3")
+        assert code == 0
+        assert "isomorphic: no" in out
+
     def test_writes_file_with_header(self, capsys, swap2_file, tmp_path):
         out_path = tmp_path / "power.txt"
         code, _, _ = run(capsys, "power", swap2_file, "2", "-o", str(out_path))

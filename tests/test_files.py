@@ -57,6 +57,26 @@ class TestParseSolution:
         assert exc.value.line == 3
 
 
+@pytest.mark.parametrize(
+    ("parse", "what"),
+    [(files.parse_sigma_table, "size"), (files.parse_brace, "order")],
+)
+@pytest.mark.parametrize(
+    ("text", "message", "category", "line"),
+    [
+        ("# only a comment\n\n", "empty file", "count", None),
+        ("2 2\n", "line 1: expected a single {what} on the first line", "syntax", 1),
+        ("x\n", "line 1: {what}: not an integer: 'x'", "syntax", 1),
+        ("\n# c\n -3 # z\n", "line 3: {what} must be at least 1, got -3", "range", 3),
+    ],
+)
+def test_header_errors(parse, what, text, message, category, line):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message.format(what=what)
+    assert (exc.value.category, exc.value.line) == (category, line)
+
+
 class TestEmitSolution:
     def test_trivial_canonical(self):
         assert files.emit_solution(sol.trivial(2)) == "2\n0 1\n0 1\n"

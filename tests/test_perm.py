@@ -133,6 +133,19 @@ class TestCloseGroup:
         b = pm.close_group([(1, 2, 0), (1, 0, 2)])
         assert a.elements == b.elements
 
+    def test_breadth_first_order_pinned(self):
+        # identity first, then each frontier element times the
+        # generators in input order
+        g = pm.close_group([(1, 2, 0), (1, 0, 2)])
+        assert g.elements == (
+            (0, 1, 2),
+            (1, 2, 0),
+            (1, 0, 2),
+            (2, 0, 1),
+            (2, 1, 0),
+            (0, 2, 1),
+        )
+
 
 class TestGroupsIsomorphic:
     def test_two_transpositions_on_degree_four(self):

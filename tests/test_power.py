@@ -212,31 +212,32 @@ class TestN2Direct:
 
 class TestPowerPermGroup:
     def test_swap_n2(self, swap2):
-        a_order, b_order, phi = pw.power_perm_group(pw.power_solution(swap2, 2))
+        a_order, b_order, iso = pw.power_perm_group(pw.power_solution(swap2, 2))
         assert a_order == 1 and b_order == 1
-        assert phi is not None
+        assert iso
 
     def test_swap_n3(self, swap2):
-        a_order, b_order, phi = pw.power_perm_group(pw.power_solution(swap2, 3))
+        a_order, b_order, iso = pw.power_perm_group(pw.power_solution(swap2, 3))
         assert a_order == 2 and b_order == 2
-        assert phi is not None
+        assert iso
 
     def test_adjoined_n2(self, adjoined3):
-        a_order, b_order, phi = pw.power_perm_group(pw.power_solution(adjoined3, 2))
+        a_order, b_order, iso = pw.power_perm_group(pw.power_solution(adjoined3, 2))
         assert a_order == 2 and b_order == 2
-        assert phi is not None
+        assert iso
 
     def test_always_isomorphic_over_corpus(self, corpus):
-        # the orders are those of A and B closed on their own; φ is the
-        # pairing f_x̄ -> σ_{x₁}⋯σ_{xₙ}, an isomorphism A -> B, and the
-        # general search agrees that A and B are isomorphic
+        # the orders are those of A and B closed on their own; the
+        # pairing f_x̄ -> σ_{x₁}⋯σ_{xₙ} extends to an isomorphism φ: A -> B,
+        # and the general search agrees that A and B are isomorphic
         for s in corpus:
             for n in (2, 3):
                 ps = pw.power_solution(s, n)
                 a, b = _oracle_groups(ps)
-                a_order, b_order, phi = pw.power_perm_group(ps)
+                a_order, b_order, iso = pw.power_perm_group(ps)
                 assert (a_order, b_order) == (a.order, b.order)
-                assert phi is not None
+                assert iso
+                phi = _pairing_phi(ps)
                 assert _is_isomorphism(a, b, phi)
                 assert all(phi[f] == p for f, p in _pairs(ps))
                 assert pm.groups_isomorphic(a, b) is not None
@@ -252,33 +253,34 @@ class TestPowerPermGroup:
                 pw.power_perm_group(pw.power_solution(s, n))
         assert calls == []
 
-    def test_mismatched_pairing_returns_none(self, corpus, adjoined3):
+    def test_mismatched_pairing_matches_brute_force(self, corpus, adjoined3):
         # the power solution of one base paired with the products of
         # another: the orders must be those of A and B closed on their
-        # own, and φ the pairing's isomorphism when there is one (brute
-        # force over all bijections A -> B), else None
+        # own, and the answer whether the pairing extends to an
+        # isomorphism (brute force over all bijections A -> B)
         other = sol.from_sigma([(0, 1, 2), (0, 2, 1), (0, 2, 1)])
         ps = pw.power_solution(adjoined3, 2)
-        a_order, b_order, phi = pw.power_perm_group(_paired_with(ps, other))
+        a_order, b_order, iso = pw.power_perm_group(_paired_with(ps, other))
         assert a_order == b_order == 2
-        assert phi is None
-        nones = {True: 0, False: 0}
+        assert not iso
+        noes = {True: 0, False: 0}
         for s, t in itertools.permutations(corpus, 2):
             if s.m != t.m:
                 continue
             for n in (2, 3):
                 mixed = _paired_with(pw.power_solution(s, n), t)
                 a, b = _oracle_groups(mixed)
-                a_order, b_order, phi = pw.power_perm_group(mixed)
+                a_order, b_order, iso = pw.power_perm_group(mixed)
                 assert (a_order, b_order) == (a.order, b.order)
                 pairs = _pairs(mixed)
-                if phi is None:
-                    assert not _pairing_extends(a, b, pairs)
-                    nones[a.order == b.order] += 1
-                else:
+                assert iso == _pairing_extends(a, b, pairs)
+                if iso:
+                    phi = _pairing_phi(mixed)
                     assert _is_isomorphism(a, b, phi)
                     assert all(phi[f] == p for f, p in pairs)
-        assert nones[True] and nones[False]
+                else:
+                    noes[a.order == b.order] += 1
+        assert noes[True] and noes[False]
 
 
 def _paired_with(ps, other):
@@ -306,11 +308,20 @@ def _pairs(ps):
     return out
 
 
+def _pairing_phi(ps):
+    """The pairing f_x̄ -> σ_{x₁}⋯σ_{xₙ} extended over A: close the pairs
+    as permutations of the disjoint union of Xⁿ and X, and read each
+    element of the closure as a -> b. When the closure is not the graph
+    of a function, a later entry overwrites an earlier one."""
+    deg = ps.result.m
+    d = pm.close_group([f + tuple(deg + v for v in p) for f, p in _pairs(ps)])
+    return {e[:deg]: tuple(v - deg for v in e[deg:]) for e in d.elements}
+
+
 def _is_isomorphism(a, b, phi) -> bool:
     """phi is a bijection A -> B with φ(xy) = φ(x)φ(y) on all of A × A."""
     return (
-        phi is not None
-        and set(phi) == set(a.elements)
+        set(phi) == set(a.elements)
         and sorted(phi.values()) == sorted(b.elements)
         and all(
             phi[pm.compose(x, y)] == pm.compose(phi[x], phi[y])

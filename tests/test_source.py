@@ -1,13 +1,15 @@
 """Rules on the package source itself."""
 
 import ast
+import importlib
 import sys
 import types
 from pathlib import Path
 
 import ybe
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "ybe"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "ybe"
 
 # The independent oracles the tests compare against; no command calls one
 ORACLES = {
@@ -88,3 +90,27 @@ def test_cli_calls_no_oracle():
         if name in ORACLES:
             found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+def test_layer_trace_names_resolve():
+    # the benchmark's layer trace wraps these names by module.__dict__
+    # lookup; read its WRAPPED tuple from the syntax tree, so a rename in
+    # the package fails here rather than in a traced benchmark run
+    path = ROOT / "perfbench" / "layertrace.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (wrapped,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["WRAPPED"]
+    ]
+    assert wrapped
+    missing = []
+    for module_name, attr, _ in wrapped:
+        owner = importlib.import_module(f"ybe.{module_name}")
+        *path_parts, leaf = attr.split(".")
+        for part in path_parts:
+            owner = getattr(owner, part, None)
+        if leaf not in getattr(owner, "__dict__", {}):
+            missing.append(f"{module_name}.{attr}")
+    assert missing == []
