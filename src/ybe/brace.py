@@ -59,18 +59,6 @@ class LambdaTable:
     inverses: tuple[Perm, ...]   # inverses[a] is λ_a⁻¹
 
 
-@dataclass(frozen=True)
-class LambdaReport:
-    """Pass/fail per λ-map property, with a witness for each failure."""
-
-    flags: dict
-    witnesses: dict
-
-    @property
-    def all_ok(self) -> bool:
-        return all(self.flags.values())
-
-
 def _freeze_table(table, k, what):
     rows = []
     for a, row in enumerate(table):
@@ -151,41 +139,41 @@ def lambda_table(b: Brace) -> LambdaTable:
     )
 
 
-def check_lambda_properties(lam: LambdaTable) -> LambdaReport:
+def check_lambda_properties(lam: LambdaTable) -> sol.VerifyReport:
     """Exhaustively verify the six λ-map identities of the brace
-    ``lam.owner``, with ``lam = lambda_table(b)``."""
+    ``lam.owner``, with ``lam = lambda_table(b)``; the report holds the
+    first witness in lex order of each failed identity."""
     b = lam.owner
     lt, lt_inv = lam.table, lam.inverses
-    flags = {name: True for name in LAMBDA_PROPERTIES}
-    witnesses = {}
-
-    def fail(name, witness):
-        if flags[name]:
-            flags[name] = False
-            witnesses[name] = witness
-
-    for a in range(b.k):
-        if lt_inv[a] != lt[b.inv[a]]:
-            fail("inverse_is_lambda_of_inverse", (a,))
-        for x in range(b.k):
-            for y in range(b.k):
-                if lt[a][b.add[x][y]] != b.add[lt[a][x]][lt[a][y]]:
-                    fail("additive_automorphism", (a, x, y))
-
-    for a in range(b.k):
-        for c in range(b.k):
-            if pm.compose(lt[a], lt[c]) != lt[b.mul[a][c]]:
-                fail("multiplicative_homomorphism", (a, c))
-            if b.add[a][c] != b.mul[a][lt_inv[a][c]]:
-                fail("sum_via_lambda", (a, c))
-            if b.mul[a][lt_inv[a][c]] != b.mul[c][lt_inv[c][a]]:
-                fail("symmetric_product", (a, c))
-            lhs = pm.compose(lt[a], lt[lt_inv[a][c]])
-            rhs = pm.compose(lt[c], lt[lt_inv[c][a]])
-            if lhs != rhs:
-                fail("sigma_condition", (a, c))
-
-    return LambdaReport(flags=flags, witnesses=witnesses)
+    elems = range(b.k)
+    pairs = [(a, c) for a in elems for c in elems]
+    witnesses = {
+        "inverse_is_lambda_of_inverse": next(
+            ((a,) for a in elems if lt_inv[a] != lt[b.inv[a]]), None
+        ),
+        "additive_automorphism": next(
+            (
+                (a, x, y)
+                for a in elems
+                for x, y in pairs
+                if lt[a][b.add[x][y]] != b.add[lt[a][x]][lt[a][y]]
+            ),
+            None,
+        ),
+        "multiplicative_homomorphism": next(
+            ((a, c) for a, c in pairs if pm.compose(lt[a], lt[c]) != lt[b.mul[a][c]]), None
+        ),
+        "sum_via_lambda": next(
+            ((a, c) for a, c in pairs if b.add[a][c] != b.mul[a][lt_inv[a][c]]), None
+        ),
+        "symmetric_product": next(
+            ((a, c) for a, c in pairs if b.mul[a][lt_inv[a][c]] != b.mul[c][lt_inv[c][a]]),
+            None,
+        ),
+        "sigma_condition": sol._sigma_condition_witness(lt, lt_inv),
+    }
+    failures = {name: w for name, w in witnesses.items() if w is not None}
+    return sol.VerifyReport(LAMBDA_PROPERTIES, failures)
 
 
 def associated_solution(b: Brace) -> Solution:

@@ -41,14 +41,14 @@ def _write(path, text):
 
 
 def _print_report(report):
-    for axiom in sol.AXIOMS:
-        ok = getattr(report, axiom)
-        line = f"{axiom}: {'pass' if ok else 'FAIL'}"
-        if not ok:
-            witness = report.first_counterexample(axiom)
-            if witness is not None:
-                line += f" at {witness}"
-        print(line)
+    for name in report.properties:
+        witness = report.failures.get(name)
+        if name not in report.failures:
+            print(f"{name}: pass")
+        elif witness is None:
+            print(f"{name}: FAIL")
+        else:
+            print(f"{name}: FAIL at {witness}")
 
 
 def cmd_verify(args):
@@ -59,8 +59,7 @@ def cmd_verify(args):
     except AxiomError as e:
         _print_report(e.report)
         return EXIT_PROPERTY
-    for axiom in sol.AXIOMS:
-        print(f"{axiom}: pass")
+    _print_report(sol.VerifyReport(sol.AXIOMS, {}))
     return EXIT_OK
 
 
@@ -169,11 +168,7 @@ def cmd_brace_find(args):
 def cmd_brace_lambda_check(args):
     b = files.parse_brace(_read(args.file))
     report = br.check_lambda_properties(br.lambda_table(b))
-    for name in br.LAMBDA_PROPERTIES:
-        line = f"{name}: {'pass' if report.flags[name] else 'FAIL'}"
-        if not report.flags[name]:
-            line += f" at {report.witnesses[name]}"
-        print(line)
+    _print_report(report)
     return EXIT_OK if report.all_ok else EXIT_PROPERTY
 
 

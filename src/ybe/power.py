@@ -76,6 +76,7 @@ def psi_apply(sigma_table, tau: Perm, ybar) -> tuple[int, ...]:
     First component τ(y₁); component j+1 is
     σ(t_j)⁻¹⋯σ(t_1)⁻¹ τ σ(y₁)⋯σ(y_j) applied to y_{j+1}.
     """
+    tau = pm.perm(tau)
     m = len(tau)
     if len(sigma_table) != m:
         raise ValueError(f"tau has degree {m}, expected {len(sigma_table)}")

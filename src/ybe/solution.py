@@ -31,24 +31,16 @@ ISOMORPHISM_CAP_M = 8  # largest m whose m! relabelings are tried
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Per-axiom pass/fail record for a candidate σ-table."""
+    """The report of every checked property: the property names in
+    print order, and each failed one mapped to its first witness in lex
+    order, or to None when the failure has no witness."""
 
-    involutive: bool
-    left_nondegenerate: bool
-    right_nondegenerate: bool
-    braid_direct: bool
-    braid_sigma_condition: bool
-    counterexamples: tuple = ()  # pairs (axiom name, witness index tuple)
+    properties: tuple[str, ...]
+    failures: dict
 
     @property
     def all_ok(self) -> bool:
-        return all(getattr(self, a) for a in AXIOMS)
-
-    def first_counterexample(self, axiom: str):
-        for name, witness in self.counterexamples:
-            if name == axiom:
-                return witness
-        return None
+        return not self.failures
 
 
 @dataclass(frozen=True)
@@ -85,42 +77,46 @@ def _r(sigma, gamma, x, y):
 
 
 def verify_tables(sigma) -> VerifyReport:
-    """Check all five axioms, γ derived from σ, by exhaustive loops; always
-    returns a report, recording the first counterexample of each failed axiom."""
+    """Check all five axioms, γ derived from σ, by exhaustive loops.
+
+    ``sigma`` holds m ≥ 1 rows of m entries each, all in {0,...,m-1};
+    the rows need not be bijections. Any other table raises ValueError.
+    For every such table a report is returned."""
+    if not sigma:
+        raise ValueError("empty sigma table")
     m = len(sigma)
+    for x, row in enumerate(sigma):
+        if len(row) != m or not all(0 <= v < m for v in row):
+            raise ValueError(f"sigma[{x}] = {list(row)} is not a map of {{0,...,{m - 1}}}")
     gamma = derive_gamma(sigma)
-    bad = []
+    points = range(m)
+    pairs = itertools.product(points, repeat=2)
+    witnesses = {
+        "involutive": next(
+            (w for w in pairs if _r(sigma, gamma, *_r(sigma, gamma, *w)) != w), None
+        ),
+        "left_nondegenerate": next(((x,) for x in points if not pm.is_perm(sigma[x])), None),
+        "right_nondegenerate": next(((y,) for y in points if not pm.is_perm(gamma[y])), None),
+        "braid_direct": _braid_direct_witness(sigma, gamma),
+    }
+    failures = {name: w for name, w in witnesses.items() if w is not None}
+    if "left_nondegenerate" not in failures:
+        witness = _sigma_condition_witness(sigma, [pm.inverse(s) for s in sigma])
+        if witness is not None:
+            failures["braid_sigma_condition"] = witness
+    elif "braid_direct" in failures:
+        # the sigma condition needs σ⁻¹; without left non-degeneracy it
+        # takes the direct check's verdict, with no witness of its own
+        failures["braid_sigma_condition"] = None
+    return VerifyReport(AXIOMS, failures)
 
-    left = True
-    for x in range(m):
-        if not pm.is_perm(sigma[x]):
-            left = False
-            bad.append(("left_nondegenerate", (x,)))
-            break
 
-    right = True
-    for y in range(m):
-        if not pm.is_perm(gamma[y]):
-            right = False
-            bad.append(("right_nondegenerate", (y,)))
-            break
-
-    involutive = True
-    for x in range(m):
-        for y in range(m):
-            u, v = _r(sigma, gamma, x, y)
-            if _r(sigma, gamma, u, v) != (x, y):
-                involutive = False
-                bad.append(("involutive", (x, y)))
-                break
-        if not involutive:
-            break
-
-    braid_direct = True
+def _braid_direct_witness(sigma, gamma):
+    """The first (x, y, z) in lex order with r12 r23 r12 ≠ r23 r12 r23."""
+    m = len(sigma)
     for x in range(m):
         for y in range(m):
             for z in range(m):
-                # r12 r23 r12 vs r23 r12 r23 on (x, y, z)
                 a, b = _r(sigma, gamma, x, y)
                 b2, c = _r(sigma, gamma, b, z)
                 a2, b3 = _r(sigma, gamma, a, b2)
@@ -130,39 +126,25 @@ def verify_tables(sigma) -> VerifyReport:
                 b6, c3 = _r(sigma, gamma, b5, c2)
                 rhs = (a3, b6, c3)
                 if lhs != rhs:
-                    braid_direct = False
-                    bad.append(("braid_direct", (x, y, z)))
-                    break
-            if not braid_direct:
-                break
-        if not braid_direct:
-            break
+                    return x, y, z
+    return None
 
-    braid_sigma = True
-    if left:
-        inv = [pm.inverse(s) for s in sigma]
-        for x in range(m):
-            for y in range(m):
-                lhs = pm.compose(sigma[x], sigma[inv[x][y]])
-                rhs = pm.compose(sigma[y], sigma[inv[y][x]])
-                if lhs != rhs:
-                    braid_sigma = False
-                    bad.append(("braid_sigma_condition", (x, y)))
-                    break
-            if not braid_sigma:
-                break
-    else:
-        # the sigma condition needs σ⁻¹; without left non-degeneracy it
-        # degenerates to the direct check's verdict
-        braid_sigma = braid_direct
 
-    return VerifyReport(
-        involutive=involutive,
-        left_nondegenerate=left,
-        right_nondegenerate=right,
-        braid_direct=braid_direct,
-        braid_sigma_condition=braid_sigma,
-        counterexamples=tuple(bad),
+def _sigma_condition_witness(rows, inverses):
+    """The first (x, y) in lex order with σ_x∘σ_{σ_x⁻¹(y)} ≠
+    σ_y∘σ_{σ_y⁻¹(x)} (Rump 2005), or None; ``inverses[x]`` is σ_x⁻¹.
+    The one witness search for the σ-condition: ``verify_tables`` runs
+    it on a σ-table, ``brace.check_lambda_properties`` on a λ-table."""
+    points = range(len(rows))
+    return next(
+        (
+            (x, y)
+            for x in points
+            for y in points
+            if pm.compose(rows[x], rows[inverses[x][y]])
+            != pm.compose(rows[y], rows[inverses[y][x]])
+        ),
+        None,
     )
 
 
@@ -217,7 +199,7 @@ def from_sigma(sigmas) -> Solution:
                 f"not a solution; report bound {REPORT_BOUND_M} exceeded (m={m})"
             )
         report = verify_tables(sigma)
-        failed = [a for a in AXIOMS if not getattr(report, a)]
+        failed = [a for a in AXIOMS if a in report.failures]
         raise AxiomError(
             "not a solution; failed axioms: " + ", ".join(failed),
             report=report,

@@ -36,8 +36,8 @@ def test_criterion_1_oracle_closure():
         brute_force = []
         for table in itertools.product(pm.all_perms(m), repeat=m):
             r = sol.verify_tables(table)
-            if r.involutive and r.left_nondegenerate:
-                assert r.braid_direct == r.braid_sigma_condition
+            if not {"involutive", "left_nondegenerate"} & r.failures.keys():
+                assert ("braid_direct" in r.failures) == ("braid_sigma_condition" in r.failures)
             assert sol._is_solution(table) == r.all_ok
             if r.all_ok:
                 brute_force.append(table)

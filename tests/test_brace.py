@@ -103,7 +103,7 @@ class TestLambdaProperties:
     def test_z4_brace(self, brace_z4):
         report = br.check_lambda_properties(br.lambda_table(brace_z4))
         assert report.all_ok
-        assert set(report.flags) == set(br.LAMBDA_PROPERTIES)
+        assert set(report.properties) == set(br.LAMBDA_PROPERTIES)
 
     def test_tampered_mul_fails(self, brace_z4):
         # swap two rows of mul: rows stay bijections, identities break
@@ -115,7 +115,21 @@ class TestLambdaProperties:
         except AxiomError:
             return  # lambda rows degenerated; also an acceptable detection
         assert not report.all_ok
-        assert report.witnesses
+        assert report.failures
+
+    def test_tampered_failures_in_full(self, brace_z4):
+        # swapping mul rows 1 and 2 breaks four of the six identities
+        mul = list(brace_z4.mul)
+        mul[1], mul[2] = mul[2], mul[1]
+        tampered = dataclasses.replace(brace_z4, mul=tuple(mul))
+        report = br.check_lambda_properties(br.lambda_table(tampered))
+        assert report.properties == br.LAMBDA_PROPERTIES
+        assert report.failures == {
+            "inverse_is_lambda_of_inverse": (1,),
+            "additive_automorphism": (1, 0, 0),
+            "multiplicative_homomorphism": (1, 0),
+            "sigma_condition": (0, 1),
+        }
 
 
 class TestAssociatedSolution:

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from ybe import brace as br
+from ybe import cli
 from ybe import files
 from ybe import perm as pm
 from ybe import power as pw
@@ -103,6 +104,19 @@ def _one_swap_table(n):
 
 
 class TestRejectionReport:
+    def test_printed_line_forms(self, capsys):
+        # a failure with a witness, a witness-less failure, and passes
+        cli._print_report(sol.verify_tables(((0, 0), (0, 1))))
+        assert capsys.readouterr().out == (
+            "involutive: FAIL at (0, 0)\n"
+            "left_nondegenerate: FAIL at (0,)\n"
+            "right_nondegenerate: FAIL at (1,)\n"
+            "braid_direct: FAIL at (0, 0, 0)\n"
+            "braid_sigma_condition: FAIL\n"
+        )
+        cli._print_report(sol.VerifyReport(sol.AXIOMS, {}))
+        assert capsys.readouterr().out == "".join(f"{a}: pass\n" for a in sol.AXIOMS)
+
     def test_report_within_bound(self, capsys, tmp_path):
         p = tmp_path / "bad64.txt"
         p.write_text(_one_swap_table(64))
@@ -352,6 +366,18 @@ class TestBraceCommands:
         code, out, _ = run(capsys, "brace", "lambda-check", brace_z4_file)
         assert code == 0
         assert out.count("pass") == 6
+
+    def test_lambda_check_output(self, capsys, brace_z4_file):
+        code, out, err = run(capsys, "brace", "lambda-check", brace_z4_file)
+        assert (code, err) == (0, "")
+        assert out == (
+            "inverse_is_lambda_of_inverse: pass\n"
+            "additive_automorphism: pass\n"
+            "multiplicative_homomorphism: pass\n"
+            "sum_via_lambda: pass\n"
+            "symmetric_product: pass\n"
+            "sigma_condition: pass\n"
+        )
 
     def test_eq31_exhaustive(self, capsys, brace_z4_file):
         code, out, _ = run(capsys, "brace", "eq31-check", brace_z4_file, "--n", "2")

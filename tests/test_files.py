@@ -20,7 +20,7 @@ class TestParseSolution:
             files.parse_solution("2\n0 1\n1 0\n")
         report = exc.value.report
         assert report is not None
-        assert report.first_counterexample("braid_sigma_condition") == (0, 1)
+        assert report.failures.get("braid_sigma_condition") == (0, 1)
 
     def test_comments_and_blank_lines(self):
         text = "# a comment\n2\n\n0 1  # trailing\n0 1\n"

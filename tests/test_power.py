@@ -36,6 +36,12 @@ class TestPsiApply:
         with pytest.raises(ValueError):
             pw.psi_apply(swap2.sigma, (1, 0, 2), (0, 0))
 
+    def test_tau_not_a_permutation(self, swap2):
+        with pytest.raises(ValueError):
+            pw.psi_apply(swap2.sigma, (1, 1), (0, 0))
+        with pytest.raises(ValueError):
+            pw.psi_perm(swap2.sigma, (1, 1), 2)
+
 
 class TestPsiInverse:
     # ψ is a homomorphism, so ψ(τ⁻¹) must undo ψ(τ)

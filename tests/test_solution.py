@@ -27,9 +27,9 @@ class TestFromSigma:
             sol.from_sigma([(0, 1), (1, 0)])
         report = exc.value.report
         assert report is not None
-        assert not report.braid_direct
-        assert not report.braid_sigma_condition
-        assert report.first_counterexample("braid_sigma_condition") == (0, 1)
+        assert "braid_direct" in report.failures
+        assert "braid_sigma_condition" in report.failures
+        assert report.failures.get("braid_sigma_condition") == (0, 1)
 
     def test_rejection_carries_the_verify_tables_report(self):
         # from_sigma accepts by its O(N²) gate; a rejected table still
@@ -116,18 +116,34 @@ class TestVerify:
     def test_braid_failure_flags(self):
         sigma = ((0, 1), (1, 0))
         report = sol.verify_tables(sigma)
-        assert report.involutive
-        assert report.left_nondegenerate
+        assert "involutive" not in report.failures
+        assert "left_nondegenerate" not in report.failures
         # derived gamma_0 = (0, 0) here, so the right action degenerates too
-        assert not report.right_nondegenerate
-        assert not report.braid_direct
-        assert not report.braid_sigma_condition
+        assert "right_nondegenerate" in report.failures
+        assert "braid_direct" in report.failures
+        assert "braid_sigma_condition" in report.failures
 
     def test_report_always_produced(self):
         sigma = ((1, 2, 0), (0, 1, 2), (0, 1, 2))
         report = sol.verify_tables(sigma)
         assert not report.all_ok
-        assert report.counterexamples
+        assert report.failures
+
+    def test_empty_table_raises(self):
+        with pytest.raises(ValueError):
+            sol.verify_tables([])
+
+    def test_row_of_wrong_length_raises(self):
+        with pytest.raises(ValueError):
+            sol.verify_tables([(0, 1)])
+        with pytest.raises(ValueError):
+            sol.verify_tables([(0, 1), (0,)])
+
+    def test_entry_out_of_range_raises(self):
+        with pytest.raises(ValueError):
+            sol.verify_tables([(5, 0), (0, 1)])
+        with pytest.raises(ValueError):
+            sol.verify_tables([(0, 1), (-1, 0)])
 
 
 class TestAcceptanceGate:

@@ -92,6 +92,18 @@ def test_cli_calls_no_oracle():
     assert found == []
 
 
+def test_one_report_type():
+    # every checked property is reported by solution.VerifyReport; a
+    # second report type fails here
+    found = [
+        f"{path.name}:{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef) and node.name.endswith("Report")
+    ]
+    assert found == ["solution.py:VerifyReport"]
+
+
 def test_layer_trace_names_resolve():
     # the benchmark's layer trace wraps these names by module.__dict__
     # lookup; read its WRAPPED tuple from the syntax tree, so a rename in
