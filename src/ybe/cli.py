@@ -65,6 +65,7 @@ def cmd_verify(args):
 
 def cmd_permgroup(args):
     s = files.parse_solution(_read(args.file))
+    pm.group_order(s.sigma, cap=args.cap)  # decline past the cap before listing
     g = sol.permutation_group(s, cap=args.cap)
     print(f"order: {g.order}")
     print("generators:")
@@ -81,11 +82,11 @@ def cmd_power(args):
         raise ParseError(f"exponent must be at least 2, got {args.n}")
     # decline before building; no power group is larger than the base
     pw.check_degree(s.m, args.n, args.cap)
-    base = sol.permutation_group(s, cap=args.cap)
+    base_order = pm.group_order(s.sigma, cap=args.cap)
     ps = pw.power_solution(s, args.n, cap=args.cap)
     a_order, b_order, isomorphic = pw.power_perm_group(ps)
-    cond = pw.iso_condition(base, args.n)
-    print(f"base group order: {base.order}")
+    cond = pw.iso_condition(s, base_order, args.n)
+    print(f"base group order: {base_order}")
     print(f"power group order: {a_order}")
     print(f"product subgroup order: {b_order}")
     print(f"classification: {cond.value}")
@@ -161,7 +162,7 @@ def cmd_brace_find(args):
         report = br.check_lambda_properties(lt)
         print(f"  lambda properties: {'pass' if report.all_ok else 'FAIL'}")
         s = sol.from_sigma(lt.table)  # the associated solution
-        print(f"  associated solution verifies: yes (group order {sol.permutation_group(s).order})")
+        print(f"  associated solution verifies: yes (group order {pm.group_order(s.sigma)})")
     return EXIT_OK
 
 

@@ -8,6 +8,8 @@ The composition convention throughout the package is
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 
 from .errors import SizeCapExceeded
@@ -52,13 +54,21 @@ def inverse(p: Perm) -> Perm:
     return tuple(inv)
 
 
+def _right_multiplier(g: Perm):
+    """The map e ↦ e∘g at C speed: itemgetter(*g)(e) is (e[g[0]], e[g[1]], ...).
+    itemgetter of one index returns the item, not a tuple, so in degree 1,
+    whose only permutation is the identity, e is mapped to itself."""
+    return operator.itemgetter(*g) if len(g) > 1 else tuple
+
+
 def perm_order(p: Perm) -> int:
     """Multiplicative order of p in Sym_m."""
+    step = _right_multiplier(p)
     q = p
     k = 1
     ident = identity(len(p))
     while q != ident:
-        q = compose(q, p)
+        q = step(q)
         k += 1
     return k
 
@@ -89,6 +99,22 @@ class GeneratedGroup:
         return tuple(sorted(perm_order(e) for e in self.elements))
 
 
+def _generators(generators) -> list[Perm]:
+    """Validate a nonempty generator list of one degree."""
+    gens = [perm(g) for g in generators]
+    if not gens:
+        raise ValueError("need at least one generator")
+    m = len(gens[0])
+    for g in gens:
+        if len(g) != m:
+            raise ValueError(f"degree mismatch among generators: {m} vs {len(g)}")
+    return gens
+
+
+def _cap_exceeded(cap: int) -> SizeCapExceeded:
+    return SizeCapExceeded(f"group closure exceeded cap of {cap} elements")
+
+
 def close_group(generators, cap: int = DEFAULT_CAP) -> GeneratedGroup:
     """Close a nonempty generator list under composition.
 
@@ -97,30 +123,95 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> GeneratedGroup:
     inverse-closure automatic. Raises SizeCapExceeded if the closure
     grows past ``cap``.
     """
-    gens = [perm(g) for g in generators]
-    if not gens:
-        raise ValueError("need at least one generator")
-    m = len(gens[0])
-    for g in gens:
-        if len(g) != m:
-            raise ValueError(f"degree mismatch among generators: {m} vs {len(g)}")
-
-    elements = {identity(m): None}
+    gens = _generators(generators)
+    steps = [_right_multiplier(g) for g in gens]
+    elements = {identity(len(gens[0])): None}
     frontier = list(elements)
     while frontier:
         nxt = []
         for e in frontier:
-            for g in gens:
-                c = compose(e, g)
+            for step in steps:
+                c = step(e)
                 if c not in elements:
                     elements[c] = None
                     nxt.append(c)
                     if len(elements) > cap:
-                        raise SizeCapExceeded(
-                            f"group closure exceeded cap of {cap} elements"
-                        )
+                        raise _cap_exceeded(cap)
         frontier = nxt
-    return GeneratedGroup(degree=m, generators=tuple(gens), elements=tuple(elements))
+    return GeneratedGroup(degree=len(gens[0]), generators=tuple(gens), elements=tuple(elements))
+
+
+def group_order(generators, cap: int = DEFAULT_CAP) -> int:
+    """The order of the group generated by a nonempty generator list, by
+    a deterministic Schreier–Sims method (Sims 1970; Seress,
+    *Permutation Group Algorithms*, 2003), without listing the group.
+
+    Level i of the stabilizer chain holds a base point b_i, the strong
+    generators that fix b_0, ..., b_{i-1}, and the orbit of b_i under
+    them, each orbit point γ with a coset representative u_γ (u_γ(b_i) = γ)
+    and its inverse. Repeated generators are dropped. Generators and
+    Schreier generators are sifted in input order, and a residue that
+    fixes every base point opens a new level at the first point it moves. The order is the product of the
+    orbit lengths. Every partial product is at most the order, so
+    SizeCapExceeded (with close_group's message) is raised exactly when
+    the order exceeds ``cap``.
+    """
+    gens = _generators(dict.fromkeys(map(tuple, generators)))
+    chain = ([], [], [])  # per level: base point, strong generators, orbit
+    for g in gens:
+        _insert(chain, g, 0, cap)
+    return math.prod(map(len, chain[2]))
+
+
+def _insert(chain, g: Perm, top: int, cap: int) -> None:
+    """Sift g through the levels from ``top`` on. A residue other than the
+    identity fixes the base points above the level where it stopped; it
+    becomes a strong generator of that level and of every level up to
+    ``top``, deepest first, so each level is closed over a complete
+    deeper chain."""
+    points, _, orbits = chain
+    for level in range(top, len(points)):
+        rep = orbits[level].get(g[points[level]])
+        if rep is None:
+            break
+        g = tuple(map(rep[1].__getitem__, g))
+    else:
+        if g == identity(len(g)):
+            return
+        level = len(points)
+    for i in range(level, top - 1, -1):
+        _extend(chain, g, i, cap)
+
+
+def _extend(chain, g: Perm, i: int, cap: int) -> None:
+    """Add g to level i's strong generators and close the level: grow the
+    orbit, and insert every new Schreier generator u_{x(β)}⁻¹∘x∘u_β into
+    the levels below. On return, levels i and deeper are a complete
+    chain for the group their strong generators generate."""
+    points, strong, orbits = chain
+    if i == len(points):
+        b = next(x for x, y in enumerate(g) if x != y)
+        ident = identity(len(g))
+        points.append(b)
+        strong.append([])
+        orbits.append({b: (ident, ident)})
+    b, gens, orbit = points[i], strong[i], orbits[i]
+    gens.append(g)
+    # the old orbit points need only g; every new point needs every generator
+    pending = [(beta, (g,)) for beta in orbit]
+    for beta, xs in pending:
+        u = orbit[beta][0]
+        for x in xs:
+            xu = tuple(map(x.__getitem__, u))
+            gamma = xu[b]
+            rep = orbit.get(gamma)
+            if rep is None:
+                orbit[gamma] = (xu, inverse(xu))
+                pending.append((gamma, gens))
+                if math.prod(map(len, orbits)) > cap:
+                    raise _cap_exceeded(cap)
+            elif rep[0] != xu:
+                _insert(chain, tuple(map(rep[1].__getitem__, xu)), i + 1, cap)
 
 
 def groups_isomorphic(g: GeneratedGroup, h: GeneratedGroup, cap: int = DEFAULT_CAP):

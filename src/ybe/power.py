@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import perm as pm
 from . import solution as sol
 from .errors import SizeCapExceeded
-from .perm import GeneratedGroup, Perm
+from .perm import Perm
 from .solution import Solution
 
 #: Default cap on the power-solution degree mⁿ.
@@ -181,22 +181,21 @@ def power_perm_group(ps: PowerSolution):
 
     The pairs (f_x̄, σ_{x₁}⋯σ_{xₙ}) generate a subgroup D of A × B whose
     projections are A and B, so D is the graph of an isomorphism exactly
-    when |D| = |A| = |B|; one closure checks the paper's claim."""
+    when |D| = |A| = |B|; three orders check the paper's claim."""
     deg = ps.result.m
     pairs = dict.fromkeys(zip(ps.result.sigma, ps.products))
-    d = pm.close_group([f + tuple(deg + v for v in p) for f, p in pairs])
-    a_order = len({e[:deg] for e in d.elements})
-    b_order = len({e[deg:] for e in d.elements})
-    return a_order, b_order, d.order == a_order == b_order
+    d_order = pm.group_order([f + tuple(deg + v for v in p) for f, p in pairs])
+    a_order = pm.group_order(f for f, _ in pairs)
+    b_order = pm.group_order(p for _, p in pairs)
+    return a_order, b_order, d_order == a_order == b_order
 
 
-def iso_condition(base: GeneratedGroup, n: int) -> IsoCondition:
+def iso_condition(s: Solution, order: int, n: int) -> IsoCondition:
     """Predict whether the power group must match the base group, from
-    the base permutation group (``solution.permutation_group``): it keeps
-    every distinct σ-row as a generator, so a fixed point σ_z = id is
-    present exactly when the identity is among the generators."""
-    if pm.identity(base.degree) in base.generators:
+    the base solution and the order of its permutation group: a fixed
+    point is a σ-row equal to the identity."""
+    if pm.identity(s.m) in s.sigma:
         return IsoCondition.FIXED_POINT_PRESENT
-    if math.gcd(base.order, n) == 1:
+    if math.gcd(order, n) == 1:
         return IsoCondition.COPRIME_ORDER
     return IsoCondition.NO_GUARANTEE

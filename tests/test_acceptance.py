@@ -128,7 +128,7 @@ def test_criterion_6_power_group_comparison(corpus, swap2, adjoined3):
     assert a_order == 1
     base_swap = sol.permutation_group(swap2)
     assert base_swap.order == 2
-    assert pw.iso_condition(base_swap, 2) is pw.IsoCondition.NO_GUARANTEE
+    assert pw.iso_condition(swap2, base_swap.order, 2) is pw.IsoCondition.NO_GUARANTEE
     report("criterion 6: power group isomorphic to product subgroup + cases", True)
 
 

@@ -46,6 +46,21 @@ def o8():
 
 
 @pytest.fixture
+def one_point_file(tmp_path):
+    p = tmp_path / "one_point.txt"
+    p.write_text("1\n0\n")
+    return str(p)
+
+
+def count_calls(monkeypatch, module, name):
+    """Count the calls of ``module.name`` made from now on."""
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+@pytest.fixture
 def brace_z4_file(tmp_path, brace_z4):
     p = tmp_path / "brace_z4.txt"
     p.write_text(files.emit_brace(brace_z4))
@@ -198,6 +213,37 @@ class TestPower:
                 "isomorphic: yes\n"
             )
 
+    def test_o8x4_n2_by_orders(self, capsys, monkeypatch, tmp_path, o8):
+        # degree 256 + 16 and |D| = 2048: the orders come from stabilizer
+        # chains, and no group is listed
+        closures = count_calls(monkeypatch, pm, "close_group")
+        p = tmp_path / "o8x4.txt"
+        p.write_text(files.emit_solution(sol.disjoint_union([o8] * 4)))
+        start = time.process_time()
+        code, out, _ = run(capsys, "power", str(p), "2")
+        assert time.process_time() - start < 2
+        assert (code, out) == (
+            0,
+            "base group order: 4096\n"
+            "power group order: 2048\n"
+            "product subgroup order: 2048\n"
+            "classification: NoGuarantee\n"
+            "isomorphic: yes\n",
+        )
+        assert closures == []
+
+    def test_one_point(self, capsys, one_point_file):
+        for n in ("2", "3"):
+            assert run(capsys, "power", one_point_file, n) == (
+                0,
+                "base group order: 1\n"
+                "power group order: 1\n"
+                "product subgroup order: 1\n"
+                "classification: FixedPointPresent\n"
+                "isomorphic: yes\n",
+                "",
+            )
+
     def test_cap_exceeded(self, capsys, tmp_path, swap2_file, brace_z4_file):
         # the degree cap of power and brace eq31-check; the huge exponents
         # must be declined at once, without building m**n
@@ -263,6 +309,21 @@ class TestPermgroup:
         code, out, _ = run(capsys, "permgroup", str(p))
         assert code == 0
         assert "order: 4" in out
+
+    def test_one_point(self, capsys, one_point_file):
+        assert run(capsys, "permgroup", one_point_file) == (
+            0, "order: 1\ngenerators:\n  0\nelement orders: 1\n", ""
+        )
+
+    def test_past_cap_declines_before_listing(self, capsys, monkeypatch, tmp_path, o8):
+        # O8⁵ has order 8⁵, past the default cap of 4096
+        closures = count_calls(monkeypatch, pm, "close_group")
+        p = tmp_path / "o8x5.txt"
+        p.write_text(files.emit_solution(sol.disjoint_union([o8] * 5)))
+        assert run(capsys, "permgroup", str(p)) == (
+            3, "", "error: group closure exceeded cap of 4096 elements\n"
+        )
+        assert closures == []
 
 
 class TestEnumerate:
@@ -410,8 +471,8 @@ class TestSingleBuild:
         code, _, _ = run(capsys, "power", swap2_file, "3", "-o", str(out_path))
         assert code == 0
         assert calls["power_solution"] == 1
-        # the base group and D, whose projections give the power groups
-        assert calls["close_group"] == 2
+        # every order is counted by group_order; nothing is listed
+        assert calls["close_group"] == 0
         code, _, _ = run(capsys, "brace", "eq31-check", brace_z4_file, "--n", "2")
         assert code == 0
         assert calls["lambda_table"] == 1

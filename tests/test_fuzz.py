@@ -99,6 +99,16 @@ def test_canonical_form_is_least_and_invariant_under_relabeling(data):
     assert form <= relabelled.sigma  # the least table of the class
 
 
+@fuzz
+@given(
+    st.integers(1, 7).flatmap(
+        lambda m: st.lists(st.permutations(range(m)).map(tuple), min_size=1, max_size=4)
+    )
+)
+def test_group_order_is_the_closure_order(gens):
+    assert pm.group_order(gens) == pm.close_group(gens).order
+
+
 def exit_code(argv):
     """``cli.main``'s exit code; argparse's own exits count as exits."""
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):

@@ -6,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ybe import perm as pm
+from ybe import power as pw
+from ybe import solution as sol
 from ybe.errors import SizeCapExceeded
 
 
@@ -133,6 +135,11 @@ class TestCloseGroup:
         b = pm.close_group([(1, 2, 0), (1, 0, 2)])
         assert a.elements == b.elements
 
+    def test_degree_one(self):
+        # itemgetter of a single index returns an item, not a tuple
+        assert pm.close_group([(0,)]).elements == ((0,),)
+        assert pm.perm_order((0,)) == 1
+
     def test_breadth_first_order_pinned(self):
         # identity first, then each frontier element times the
         # generators in input order
@@ -145,6 +152,69 @@ class TestCloseGroup:
             (2, 1, 0),
             (0, 2, 1),
         )
+
+
+@pytest.fixture(scope="module")
+def solutions_m4():
+    """All 183 labelled solutions on at most four points."""
+    return [s for m in (1, 2, 3, 4) for s in sol.enumerate_solutions(m)]
+
+
+class TestGroupOrder:
+    # close_group lists the group; its order is the oracle throughout
+
+    def test_sigma_rows_of_every_small_solution(self, solutions_m4):
+        assert len(solutions_m4) == 183
+        for s in solutions_m4:
+            assert pm.group_order(s.sigma) == pm.close_group(s.sigma).order, s.sigma
+
+    def test_power_generators(self, solutions_m4):
+        # D, A and B of power_perm_group, at degree mⁿ ≤ 64
+        for s in solutions_m4:
+            for n in (2, 3):
+                ps = pw.power_solution(s, n)
+                deg = ps.result.m
+                pairs = dict.fromkeys(zip(ps.result.sigma, ps.products))
+                for gens in (
+                    [f + tuple(deg + v for v in p) for f, p in pairs],
+                    [f for f, _ in pairs],
+                    [p for _, p in pairs],
+                ):
+                    assert pm.group_order(gens) == pm.close_group(gens).order
+
+    def test_cap_boundary(self):
+        for gens in (
+            [(1, 0)],
+            [(1, 2, 3, 0), (1, 0, 2, 3)],  # Sym_4
+            [(1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4)],
+            [(0, 1, 3, 2), (2, 3, 1, 0), (3, 2, 0, 1), (1, 0, 2, 3)],
+        ):
+            order = pm.close_group(gens).order
+            assert pm.group_order(gens, cap=order) == order
+            with pytest.raises(SizeCapExceeded) as closure:
+                pm.close_group(gens, cap=order - 1)
+            with pytest.raises(SizeCapExceeded) as sims:
+                pm.group_order(gens, cap=order - 1)
+            assert str(sims.value) == str(closure.value)
+            assert str(sims.value) == f"group closure exceeded cap of {order - 1} elements"
+
+    def test_degree_one_and_identity(self):
+        assert pm.group_order([(0,)]) == 1
+        assert pm.group_order([pm.identity(5), pm.identity(5)]) == 1
+
+    def test_symmetric_group_past_the_closure(self):
+        # Sym_12 has 479,001,600 elements, far past what close_group lists
+        cycle = tuple(range(1, 12)) + (0,)
+        swap = (1, 0) + tuple(range(2, 12))
+        assert pm.group_order([cycle, swap], cap=10**9) == math.factorial(12)
+
+    def test_degree_mismatch(self):
+        with pytest.raises(ValueError):
+            pm.group_order([(1, 0), (1, 2, 0)])
+
+    def test_empty_generators(self):
+        with pytest.raises(ValueError):
+            pm.group_order([])
 
 
 class TestGroupsIsomorphic:

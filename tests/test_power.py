@@ -351,15 +351,18 @@ class TestIsoCondition:
     def test_fixed_point(self, adjoined3):
         base = sol.permutation_group(adjoined3)
         for n in (2, 3, 4):
-            assert pw.iso_condition(base, n) is pw.IsoCondition.FIXED_POINT_PRESENT
+            assert (
+                pw.iso_condition(adjoined3, base.order, n)
+                is pw.IsoCondition.FIXED_POINT_PRESENT
+            )
 
     def test_coprime(self, swap2):
         base = sol.permutation_group(swap2)
-        assert pw.iso_condition(base, 3) is pw.IsoCondition.COPRIME_ORDER
+        assert pw.iso_condition(swap2, base.order, 3) is pw.IsoCondition.COPRIME_ORDER
 
     def test_no_guarantee_and_witness(self, swap2):
         base = sol.permutation_group(swap2)
-        assert pw.iso_condition(base, 2) is pw.IsoCondition.NO_GUARANTEE
+        assert pw.iso_condition(swap2, base.order, 2) is pw.IsoCondition.NO_GUARANTEE
         a_order, _, _ = pw.power_perm_group(pw.power_solution(swap2, 2))
         assert a_order == 1
         assert base.order == 2
@@ -368,7 +371,7 @@ class TestIsoCondition:
         for s in corpus:
             base = sol.permutation_group(s)
             for n in (2, 3):
-                if pw.iso_condition(base, n) is pw.IsoCondition.NO_GUARANTEE:
+                if pw.iso_condition(s, base.order, n) is pw.IsoCondition.NO_GUARANTEE:
                     continue
                 ps = pw.power_solution(s, n)
                 _, b = _oracle_groups(ps)

@@ -92,6 +92,28 @@ def test_cli_calls_no_oracle():
     assert found == []
 
 
+def test_only_permgroup_lists_a_group():
+    # every other order is counted by perm.group_order; permgroup lists
+    # the group for its element-order multiset
+    listing = {"permutation_group", "close_group"}
+    found = set()
+    for name in ("cli.py", "power.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    ref = node.id
+                elif isinstance(node, ast.Attribute):
+                    ref = node.attr
+                elif isinstance(node, ast.alias):
+                    ref = node.name
+                else:
+                    continue
+                if ref in listing:
+                    found.add((name, getattr(top, "name", "<module>")))
+    assert found == {("cli.py", "cmd_permgroup")}
+
+
 def test_one_report_type():
     # every checked property is reported by solution.VerifyReport; a
     # second report type fails here
