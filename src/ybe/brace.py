@@ -189,9 +189,16 @@ def eq_3_1_key(lt: LambdaTable, xbar):
     return pw._sigma_product(lt.table, xbar), lt.owner.mul_many(xbar)
 
 
-def _eq_3_1_holds(lt: LambdaTable, key, ybar) -> bool:
-    """The check of eq. 3.1 for one x̄-key and one valid ȳ."""
-    lam_x, big_x = key
+def check_eq_3_1(lt: LambdaTable, xbar, ybar) -> bool:
+    """Inside the multiplicative group of the brace ``lt.owner``, with
+    σ = λ over the whole brace: the product h₁⋯h_j must equal
+    λ_{x₁⋯xₙ}(y₁⋯y_j) for every j. By cancellation that makes each h_j
+    (j ≥ 2) the quotient λ_{x₁⋯xₙ}(y₁⋯y_{j-1})⁻¹ · λ_{x₁⋯xₙ}(y₁⋯y_j).
+    The per-pair oracle of ``_eq_3_1_failing``: one h-recursion per pair."""
+    if len(ybar) != len(xbar):
+        raise ValueError("tuples must have equal length")
+    lam_x, big_x = eq_3_1_key(lt, xbar)
+    pw.check_tuple(lt.owner.k, ybar)
     b, lam = lt.owner, lt.table
     h = pw._f_tuple(lam, lt.inverses, lam_x, ybar)
     y_prod = h_prod = 0   # y₁⋯y_j and h₁⋯h_j
@@ -203,48 +210,70 @@ def _eq_3_1_holds(lt: LambdaTable, key, ybar) -> bool:
     return True
 
 
-def check_eq_3_1(lt: LambdaTable, xbar, ybar) -> bool:
-    """Inside the multiplicative group of the brace ``lt.owner``, with
-    σ = λ over the whole brace: the product h₁⋯h_j must equal
-    λ_{x₁⋯xₙ}(y₁⋯y_j) for every j. By cancellation that makes each h_j
-    (j ≥ 2) the quotient λ_{x₁⋯xₙ}(y₁⋯y_{j-1})⁻¹ · λ_{x₁⋯xₙ}(y₁⋯y_j)."""
-    if len(ybar) != len(xbar):
-        raise ValueError("tuples must have equal length")
-    key = eq_3_1_key(lt, xbar)
-    pw.check_tuple(lt.owner.k, ybar)
-    return _eq_3_1_holds(lt, key, ybar)
+def _eq_3_1_failing(lt: LambdaTable, key, n: int) -> frozenset:
+    """The n-tuples ȳ that fail eq. 3.1 with any x̄ of this key, by one
+    walk over the prefixes of ȳ. h_j and the j-th product test read only
+    y₁…y_j, so a failing prefix fails all of its extensions. A prefix
+    carries g = λ⁻¹_{h_j}∘⋯∘λ⁻¹_{h₁}∘λ_x̄∘λ_{y₁}∘⋯∘λ_{y_j}, which gives
+    h_{j+1} = g(y_{j+1}), and the products y₁⋯y_j and h₁⋯h_j. The stack
+    is explicit, so no n reaches the recursion limit."""
+    lam_x, big_x = key
+    lam, inv, mul = lt.table, lt.inverses, lt.owner.mul
+    target = lam[big_x]
+    elems = range(lt.owner.k)
+    failing = []
+    stack = [((), lam_x, 0, 0)]   # (prefix, g, y₁⋯y_j, h₁⋯h_j)
+    while stack:
+        prefix, g, y_prod, h_prod = stack.pop()
+        for y in elems:
+            h = g[y]
+            ybar = prefix + (y,)
+            y_next, h_next = mul[y_prod][y], mul[h_prod][h]
+            if target[y_next] != h_next:
+                rest = itertools.product(elems, repeat=n - len(ybar))
+                failing.extend(ybar + tail for tail in rest)
+            elif len(ybar) < n:
+                inv_h = inv[h]
+                g_next = tuple([inv_h[g[v]] for v in lam[y]])
+                stack.append((ybar, g_next, y_next, h_next))
+    return frozenset(failing)
 
 
 def eq_3_1_failures(lt: LambdaTable, n: int, cap: int = pw.DEFAULT_POWER_CAP) -> int:
     """The number of pairs (x̄, ȳ) of n-tuples that fail eq. 3.1, out of
-    all k²ⁿ: each distinct x̄-key is checked against every ȳ once and
-    counted as often as it occurs among the kⁿ tuples x̄."""
+    all k²ⁿ: each distinct x̄-key is walked once and its failing ȳ
+    counted as often as the key occurs among the kⁿ tuples x̄."""
     pw.check_degree(lt.owner.k, n, cap)
-    tuples = list(itertools.product(range(lt.owner.k), repeat=n))
+    tuples = itertools.product(range(lt.owner.k), repeat=n)
     keys = collections.Counter(eq_3_1_key(lt, xbar) for xbar in tuples)
-    return sum(
-        count
-        for key, count in keys.items()
-        for ybar in tuples
-        if not _eq_3_1_holds(lt, key, ybar)
-    )
+    return sum(count * len(_eq_3_1_failing(lt, key, n)) for key, count in keys.items())
 
 
-def eq_3_1_sampled_failures(lt: LambdaTable, pairs) -> int:
-    """The number of pairs (x̄, ȳ) in ``pairs`` that fail eq. 3.1, each
-    distinct x̄ keyed once. Verdicts are not kept: drawing a pair costs
-    about as much as checking it, and a verdict per distinct (key, ȳ)
-    would hold up to k·kⁿ entries for a brace."""
-    keys = {}  # x̄ -> its key
+def eq_3_1_sampled_failures(
+    lt: LambdaTable, pairs, cap: int = pw.DEFAULT_POWER_CAP
+) -> int:
+    """The number of pairs (x̄, ȳ) of tuples in ``pairs`` that fail
+    eq. 3.1. Each distinct x̄ is keyed once, and each distinct (key, n)
+    walked once, under the cap on kⁿ of ``eq_3_1_failures``. The walk is
+    keyed on n too: in a brace λ₀ is the identity, so (a, b) and
+    (0, a, b) share a key."""
+    k = lt.owner.k
+    by_x = {}     # x̄ -> the ȳ that fail with it
+    by_key = {}   # (key, n) -> the same frozenset
     failures = 0
     for xbar, ybar in pairs:
         if len(ybar) != len(xbar):
             raise ValueError("tuples must have equal length")
-        key = keys.get(xbar)
-        if key is None:
-            key = keys[xbar] = eq_3_1_key(lt, xbar)
-        pw.check_tuple(lt.owner.k, ybar)
-        failures += not _eq_3_1_holds(lt, key, ybar)
+        failing = by_x.get(xbar)
+        if failing is None:
+            walk = eq_3_1_key(lt, xbar), len(xbar)
+            failing = by_key.get(walk)
+            if failing is None:
+                pw.check_degree(k, len(xbar), cap)
+                failing = by_key[walk] = _eq_3_1_failing(lt, *walk)
+            by_x[xbar] = failing
+        pw.check_tuple(k, ybar)
+        failures += tuple(ybar) in failing
     return failures
 
 

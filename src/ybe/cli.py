@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import random
 import sys
 from pathlib import Path
@@ -190,11 +191,10 @@ def cmd_brace_eq31_check(args):
         print(f"checked all {b.k ** (2 * n)} tuple pairs (n={n})")
     else:
         rng = random.Random(args.seed)
-
-        def draw():
-            return tuple(rng.randrange(b.k) for _ in range(n))
-
-        failures = br.eq_3_1_sampled_failures(lt, ((draw(), draw()) for _ in range(args.samples)))
+        # n draws a tuple and x̄ is drawn before ȳ, with no Python frame per tuple
+        tuples = zip(*[map(rng.randrange, itertools.repeat(b.k))] * n)
+        pairs = itertools.islice(zip(tuples, tuples), args.samples)
+        failures = br.eq_3_1_sampled_failures(lt, pairs, cap=args.cap)
         print(f"checked {args.samples} sampled tuple pairs (n={n}, seed={args.seed})")
     print(f"failures: {failures}")
     return EXIT_OK if failures == 0 else EXIT_PROPERTY

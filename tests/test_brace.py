@@ -209,8 +209,42 @@ class TestEq31:
                 ]
                 expected = sum(not br.check_eq_3_1(lt, xbar, ybar) for xbar, ybar in pairs)
                 assert br.eq_3_1_sampled_failures(lt, pairs) == expected
+                # ȳ may be any sequence, as in check_eq_3_1
+                listed = [(xbar, list(ybar)) for xbar, ybar in pairs]
+                assert br.eq_3_1_sampled_failures(lt, listed) == expected
                 total += expected
         assert total > 0
+
+    def test_walk_equals_per_pair_oracle(self):
+        # the failing set of each key, from one prefix walk, against the
+        # per-pair check of one x̄ with that key, on every brace of order
+        # ≤ 6 and on the swapped-λ mutants, which are no braces
+        braces = [br.lambda_table(b) for k in range(1, 7) for b in br.find_braces(k)]
+        for lt in braces + list(swapped_lambda_tables()):
+            k = lt.owner.k
+            for n in (1, 2, 3, 4) if k <= 4 else (1, 2, 3):
+                tuples = list(itertools.product(range(k), repeat=n))
+                firsts = {}  # key -> the first x̄ with it
+                for xbar in tuples:
+                    firsts.setdefault(br.eq_3_1_key(lt, xbar), xbar)
+                for key, xbar in firsts.items():
+                    expected = {ybar for ybar in tuples if not br.check_eq_3_1(lt, xbar, ybar)}
+                    assert br._eq_3_1_failing(lt, key, n) == expected, (k, n, xbar)
+
+    def test_sampled_keys_the_walk_on_n(self):
+        # λ₀ is the identity, so (a, b) and (0, a, b) share a key but not
+        # a failing set: one stream mixes both lengths, each order
+        lt = list(swapped_lambda_tables())[3]
+        tuples = list(itertools.product(range(4), repeat=3))
+        xbar, ybar = next(
+            (x, y) for x in tuples if x[0] == 0 for y in tuples if not br.check_eq_3_1(lt, x, y)
+        )
+        assert br.eq_3_1_key(lt, xbar) == br.eq_3_1_key(lt, xbar[1:])
+        short = [(xbar[1:], y[1:]) for y in tuples[:16]]
+        for pairs in (short + [(xbar, ybar)], [(xbar, ybar)] + short):
+            expected = sum(not br.check_eq_3_1(lt, x, y) for x, y in pairs)
+            assert br.eq_3_1_sampled_failures(lt, pairs) == expected
+            assert expected > 0
 
     def test_length_mismatch(self, brace_z4):
         lt = br.lambda_table(brace_z4)
@@ -243,9 +277,16 @@ class TestEq31:
             br.eq_3_1_sampled_failures(lt, [((0, 1), (-1, 0))])
 
     def test_cap(self, brace_z4):
-        # 4⁷ tuples exceed the default cap of 4096
+        # 4⁷ tuples exceed the default cap of 4096; both modes walk kⁿ
+        # tuples ȳ per key, under the same cap
+        lt = br.lambda_table(brace_z4)
         with pytest.raises(SizeCapExceeded):
-            br.eq_3_1_failures(br.lambda_table(brace_z4), 7)
+            br.eq_3_1_failures(lt, 7)
+        with pytest.raises(SizeCapExceeded):
+            br.eq_3_1_sampled_failures(lt, [((0,) * 7, (0,) * 7)])
+        with pytest.raises(SizeCapExceeded):
+            br.eq_3_1_sampled_failures(lt, [((1, 2, 3), (0, 0, 0))], cap=63)
+        assert br.eq_3_1_sampled_failures(lt, [((1, 2, 3), (0, 0, 0))], cap=64) == 0
 
 
 class TestFindBraces:

@@ -1,4 +1,5 @@
 import gc
+import random
 import time
 
 import pytest
@@ -267,6 +268,11 @@ class TestPower:
             assert code == 3, argv
             assert out == ""
             assert "error" in err
+        # a cap past kⁿ lets the sampled walk run at n = 7
+        assert run(
+            capsys, "--cap", "100000000000000000000",
+            "brace", "eq31-check", brace_z4_file, "--n", "7", "--samples", "5",
+        ) == (0, "checked 5 sampled tuple pairs (n=7, seed=0)\nfailures: 0\n", "")
 
     def test_cap_declines_before_building(self, capsys, monkeypatch, tmp_path, o8):
         # O8⁵ at n=2 has degree 400, under the cap, but its base group
@@ -454,6 +460,27 @@ class TestBraceCommands:
         assert code == 0
         assert "failures: 0" in out
 
+    def test_eq31_sample_stream(self, capsys, monkeypatch, brace_z4_file):
+        # the pairs are drawn as n randrange(k) calls per tuple, x̄ then ȳ
+        drawn = []
+
+        def record(lt, pairs, cap):
+            drawn.extend(pairs)
+            return 0
+
+        monkeypatch.setattr(br, "eq_3_1_sampled_failures", record)
+        code, _, _ = run(
+            capsys, "brace", "eq31-check", brace_z4_file,
+            "--n", "3", "--samples", "100", "--seed", "42",
+        )
+        assert code == 0
+        rng = random.Random(42)
+
+        def draw():
+            return tuple(rng.randrange(4) for _ in range(3))
+
+        assert drawn == [(draw(), draw()) for _ in range(100)]
+
 
 class TestSingleBuild:
     def test_power_and_eq31_build_once(
@@ -497,7 +524,15 @@ class TestSingleBuild:
             monkeypatch.setattr(pw, name, counted)
         code, out, _ = run(capsys, "brace", "eq31-check", str(p), "--n", "3")
         assert (code, out) == (0, "checked all 46656 tuple pairs (n=3)\nfailures: 0\n")
-        assert calls["_f_tuple"] <= 1296
+        # each key's verdicts come from one prefix walk, no h-recursion
+        assert calls["_f_tuple"] == 0
+        assert calls["_sigma_product"] <= 216
+        calls.update(_f_tuple=0, _sigma_product=0)
+        code, out, _ = run(
+            capsys, "brace", "eq31-check", str(p), "--n", "3", "--samples", "2000"
+        )
+        assert (code, out) == (0, "checked 2000 sampled tuple pairs (n=3, seed=0)\nfailures: 0\n")
+        assert calls["_f_tuple"] == 0
         assert calls["_sigma_product"] <= 216
 
 
