@@ -170,7 +170,7 @@ def check_lambda_properties(lam: LambdaTable) -> sol.VerifyReport:
             ((a, c) for a, c in pairs if b.mul[a][lt_inv[a][c]] != b.mul[c][lt_inv[c][a]]),
             None,
         ),
-        "sigma_condition": sol._sigma_condition_witness(lt, lt_inv),
+        "sigma_condition": sol._sigma_condition_witness(lt),
     }
     failures = {name: w for name, w in witnesses.items() if w is not None}
     return sol.VerifyReport(LAMBDA_PROPERTIES, failures)

@@ -13,6 +13,7 @@ single spaces, trailing newline). parse∘emit is the identity on tables.
 from __future__ import annotations
 
 from . import brace as br
+from . import perm as pm
 from . import solution as sol
 from .brace import Brace
 from .errors import ParseError
@@ -84,7 +85,7 @@ def parse_sigma_table(text):
     rows = []
     for x, (ln, line) in enumerate(body):
         row = _parse_row(ln, line, m, m, f"sigma[{x}]")
-        if sorted(row) != list(range(m)):
+        if not pm.is_perm(row):
             raise ParseError(
                 f"sigma[{x}] is not a bijection", category="bijection", line=ln
             )

@@ -81,7 +81,9 @@ def verify_tables(sigma) -> VerifyReport:
 
     ``sigma`` holds m ≥ 1 rows of m entries each, all in {0,...,m-1};
     the rows need not be bijections. Any other table raises ValueError.
-    For every such table a report is returned."""
+    For every such table a report is returned. The braid relation is
+    checked directly in O(N³), apart from the σ-condition search that
+    ``from_sigma`` accepts by."""
     if not sigma:
         raise ValueError("empty sigma table")
     m = len(sigma)
@@ -101,7 +103,7 @@ def verify_tables(sigma) -> VerifyReport:
     }
     failures = {name: w for name, w in witnesses.items() if w is not None}
     if "left_nondegenerate" not in failures:
-        witness = _sigma_condition_witness(sigma, [pm.inverse(s) for s in sigma])
+        witness = _sigma_condition_witness(sigma)
         if witness is not None:
             failures["braid_sigma_condition"] = witness
     elif "braid_direct" in failures:
@@ -130,40 +132,19 @@ def _braid_direct_witness(sigma, gamma):
     return None
 
 
-def _sigma_condition_witness(rows, inverses):
+def _sigma_condition_witness(rows):
     """The first (x, y) in lex order with σ_x∘σ_{σ_x⁻¹(y)} ≠
-    σ_y∘σ_{σ_y⁻¹(x)} (Rump 2005), or None; ``inverses[x]`` is σ_x⁻¹.
-    The one witness search for the σ-condition: ``verify_tables`` runs
-    it on a σ-table, ``brace.check_lambda_properties`` on a λ-table."""
-    points = range(len(rows))
-    return next(
-        (
-            (x, y)
-            for x in points
-            for y in points
-            if pm.compose(rows[x], rows[inverses[x][y]])
-            != pm.compose(rows[y], rows[inverses[y][x]])
-        ),
-        None,
-    )
+    σ_y∘σ_{σ_y⁻¹(x)} (Rump 2005), or None, for a table of bijections.
+    The one σ-condition search: ``from_sigma`` accepts on None, and
+    ``verify_tables`` and ``brace.check_lambda_properties`` report it.
 
-
-def _is_solution(sigma) -> bool:
-    """``verify_tables(sigma).all_ok`` for a table of bijections σ_x, in
-    O(N²) steps plus d² compositions for d distinct σ-rows.
-
-    Bijective rows make r left non-degenerate and the derived γ makes it
-    involutive, so by Rump (2005) r is a solution iff
-    σ_x∘σ_{σ_x⁻¹(y)} = σ_y∘σ_{σ_y⁻¹(x)} for all x, y. Right
-    non-degeneracy needs no check of its own: with the σ-condition,
-    x·y = σ_x⁻¹(y) makes X a cycle set, and finite cycle sets are
-    non-degenerate (Rump 2005), which makes every γ_y a bijection. So
-    γ is not needed. The σ-condition is compared on interned ids:
-    row x of the matrix below holds the id of σ_x∘σ_{σ_x⁻¹(y)} at
-    column y, and the condition says that the matrix is symmetric.
+    O(N²) steps plus d² compositions and d inversions for d distinct
+    rows. The condition is compared on interned ids: row x of the matrix
+    below holds the id of σ_x∘σ_{σ_x⁻¹(y)} at column y, and the
+    condition says that the matrix is symmetric.
     """
     ids = {}
-    row_id = [ids.setdefault(row, len(ids)) for row in sigma]
+    row_id = [ids.setdefault(tuple(row), len(ids)) for row in rows]
     products = {}
     condition_rows = []
     for p in ids:
@@ -172,14 +153,23 @@ def _is_solution(sigma) -> bool:
         by_id = [products.setdefault(pm.compose(p, q), len(products)) for q in ids]
         condition_rows.append(tuple(by_id[row_id[u]] for u in pm.inverse(p)))
     matrix = [condition_rows[i] for i in row_id]
-    return matrix == list(zip(*matrix))
+    if matrix == list(zip(*matrix)):
+        return None
+    pairs = itertools.product(range(len(matrix)), repeat=2)
+    return next((x, y) for x, y in pairs if matrix[x][y] != matrix[y][x])
 
 
 def from_sigma(sigmas) -> Solution:
-    """Build a Solution from its σ-table. Accepts in O(N²) steps by
-    ``_is_solution``; on failure raises AxiomError carrying the
-    five-axiom VerifyReport of ``verify_tables``, which takes up to N³
-    steps, so above REPORT_BOUND_M it raises SizeCapExceeded instead."""
+    """Build a Solution from its σ-table. Accepts when every row is a
+    bijection and ``_sigma_condition_witness`` finds no witness.
+
+    Bijective rows make r left non-degenerate and the derived γ makes it
+    involutive, so by Rump (2005) r is a solution iff the σ-condition
+    holds; with it X is a cycle set, and finite cycle sets are
+    non-degenerate, so every γ-row is a bijection with no check of its
+    own. On failure raises AxiomError carrying the five-axiom
+    VerifyReport of ``verify_tables``, which takes up to N³ steps, so
+    above REPORT_BOUND_M it raises SizeCapExceeded instead."""
     if not sigmas:
         raise ValueError("empty sigma table")
     m = len(sigmas)
@@ -193,7 +183,7 @@ def from_sigma(sigmas) -> Solution:
             )
         sigma.append(row)
     sigma = tuple(sigma)
-    if not _is_solution(sigma):
+    if _sigma_condition_witness(sigma) is not None:
         if m > REPORT_BOUND_M:
             raise SizeCapExceeded(
                 f"not a solution; report bound {REPORT_BOUND_M} exceeded (m={m})"

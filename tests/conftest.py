@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from ybe import brace as br
+from ybe import perm as pm
 from ybe import solution as sol
 
 
@@ -13,6 +14,29 @@ def corpus():
     for m in (1, 2, 3):
         out.extend(sol.enumerate_solutions(m))
     return out
+
+
+def _per_pair_sigma_witness(rows):
+    """The first (x, y) in lex order with σ_x∘σ_{σ_x⁻¹(y)} ≠
+    σ_y∘σ_{σ_y⁻¹(x)}, or None, by two compositions per pair: the
+    reference for the interned search ``solution._sigma_condition_witness``."""
+    inverses = [pm.inverse(row) for row in rows]
+    points = range(len(rows))
+    return next(
+        (
+            (x, y)
+            for x in points
+            for y in points
+            if pm.compose(rows[x], rows[inverses[x][y]])
+            != pm.compose(rows[y], rows[inverses[y][x]])
+        ),
+        None,
+    )
+
+
+@pytest.fixture(scope="session")
+def sigma_witness_reference():
+    return _per_pair_sigma_witness
 
 
 @pytest.fixture(scope="session")

@@ -23,22 +23,25 @@ def report(name, ok):
     assert ok, name
 
 
-def test_criterion_1_oracle_closure():
+def test_criterion_1_oracle_closure(sigma_witness_reference):
     start = time.monotonic()
     for m in (1, 2, 3):
         found = sol.enumerate_solutions(m)
         assert len(found) == EXPECTED_COUNTS[m]
         for s in found:
             assert sol.verify_tables(s.sigma).all_ok
-        # the braid/sigma-condition equivalence and from_sigma's O(N²)
-        # gate against all five axioms on every candidate table, and the
-        # pruned search against the brute-force scan, in order
+        # the braid/sigma-condition equivalence, from_sigma's O(N²) gate
+        # against all five axioms and its first witness against the
+        # per-pair reference on every candidate table, and the pruned
+        # search against the brute-force scan, in order
         brute_force = []
         for table in itertools.product(pm.all_perms(m), repeat=m):
             r = sol.verify_tables(table)
             if not {"involutive", "left_nondegenerate"} & r.failures.keys():
                 assert ("braid_direct" in r.failures) == ("braid_sigma_condition" in r.failures)
-            assert sol._is_solution(table) == r.all_ok
+            witness = sol._sigma_condition_witness(table)
+            assert (witness is None) == r.all_ok
+            assert witness == sigma_witness_reference(table)
             if r.all_ok:
                 brute_force.append(table)
         assert [s.sigma for s in found] == brute_force

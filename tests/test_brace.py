@@ -24,6 +24,16 @@ def swapped_lambda_tables():
         )
 
 
+def non_commuting_lambda_table():
+    """Rows id, (1 2), (2 3), (1 3) of S₄ over the first brace of order 4:
+    no brace, and unlike every brace of order ≤ 6 its rows do not
+    commute pairwise, so it tells apart the order of compositions."""
+    rows = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2), (0, 3, 2, 1))
+    return br.LambdaTable(
+        owner=br.find_braces(4)[0], table=rows, inverses=tuple(pm.inverse(p) for p in rows)
+    )
+
+
 class TestBraceFromTables:
     def test_z2_trivial(self):
         b = br.brace_from_tables(z_table(2), z_table(2))
@@ -218,9 +228,11 @@ class TestEq31:
     def test_walk_equals_per_pair_oracle(self):
         # the failing set of each key, from one prefix walk, against the
         # per-pair check of one x̄ with that key, on every brace of order
-        # ≤ 6 and on the swapped-λ mutants, which are no braces
+        # ≤ 6 and on the swapped-λ and non-commuting mutants, which are
+        # no braces; only the last tells apart the order of compositions
         braces = [br.lambda_table(b) for k in range(1, 7) for b in br.find_braces(k)]
-        for lt in braces + list(swapped_lambda_tables()):
+        mutants = list(swapped_lambda_tables()) + [non_commuting_lambda_table()]
+        for lt in braces + mutants:
             k = lt.owner.k
             for n in (1, 2, 3, 4) if k <= 4 else (1, 2, 3):
                 tuples = list(itertools.product(range(k), repeat=n))
@@ -230,6 +242,8 @@ class TestEq31:
                 for key, xbar in firsts.items():
                     expected = {ybar for ybar in tuples if not br.check_eq_3_1(lt, xbar, ybar)}
                     assert br._eq_3_1_failing(lt, key, n) == expected, (k, n, xbar)
+        lt = non_commuting_lambda_table()
+        assert [br.eq_3_1_failures(lt, n) for n in (2, 3)] == [144, 3359]
 
     def test_sampled_keys_the_walk_on_n(self):
         # λ₀ is the identity, so (a, b) and (0, a, b) share a key but not
@@ -307,10 +321,20 @@ class TestFindBraces:
         # literal-table dedup over the cyclic and Klein additive structures
         assert len(br.find_braces(4)) == 6
 
-    def test_lambda_properties_hold_for_all_found(self):
-        for k in (2, 3, 4):
+    def test_lambda_properties_hold_for_all_found(self, sigma_witness_reference):
+        # on all 12 braces of order ≤ 6; on the λ-tables that are no
+        # braces, the σ-condition's first witness is the reference's
+        for k in range(1, 7):
             for b in br.find_braces(k):
-                assert br.check_lambda_properties(br.lambda_table(b)).all_ok
+                lt = br.lambda_table(b)
+                assert br.check_lambda_properties(lt).all_ok
+                assert sigma_witness_reference(lt.table) is None
+        mutants = list(swapped_lambda_tables()) + [non_commuting_lambda_table()]
+        witnesses = [
+            br.check_lambda_properties(lt).failures.get("sigma_condition") for lt in mutants
+        ]
+        assert witnesses == [sigma_witness_reference(lt.table) for lt in mutants]
+        assert witnesses == [None, (1, 2), None, (1, 2), None, (1, 2), (1, 2)]
 
     def test_sum_and_symmetry_identities(self):
         # a+b = a.lambda_a^{-1}(b) and a.lambda_a^{-1}(b) = b.lambda_b^{-1}(a)

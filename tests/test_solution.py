@@ -122,6 +122,8 @@ class TestVerify:
         assert "right_nondegenerate" in report.failures
         assert "braid_direct" in report.failures
         assert "braid_sigma_condition" in report.failures
+        # rows may be any sequences, not only tuples
+        assert sol.verify_tables([list(row) for row in sigma]) == report
 
     def test_report_always_produced(self):
         sigma = ((1, 2, 0), (0, 1, 2), (0, 1, 2))
@@ -147,9 +149,12 @@ class TestVerify:
 
 
 class TestAcceptanceGate:
-    def test_agrees_with_verify_tables_on_transposition_mutants(self, corpus):
+    def test_agrees_with_verify_tables_on_transposition_mutants(
+        self, corpus, sigma_witness_reference
+    ):
         # every table one transposition in one row away from a solution:
-        # the n=2 powers of the corpus and all 168 solutions on 4 points
+        # the n=2 powers of the corpus and all 168 solutions on 4 points;
+        # the first witness also against the per-pair reference
         solutions = [pw.power_solution(s, 2).result for s in corpus]
         solutions += sol.enumerate_solutions(4)
         assert len(solutions) == 15 + 168
@@ -161,7 +166,9 @@ class TestAcceptanceGate:
                     mutant[i], mutant[j] = row[j], row[i]
                     table = s.sigma[:x] + (tuple(mutant),) + s.sigma[x + 1:]
                     ok = sol.verify_tables(table).all_ok
-                    assert sol._is_solution(table) == ok, table
+                    witness = sol._sigma_condition_witness(table)
+                    assert (witness is None) == ok, table
+                    assert witness == sigma_witness_reference(table), table
                     verdicts[ok] += 1
         assert verdicts[True] and verdicts[False]
 

@@ -126,6 +126,34 @@ def test_one_report_type():
     assert found == ["solution.py:VerifyReport"]
 
 
+def test_one_sigma_condition_search():
+    # the σ-condition on a whole table is decided by one search: the
+    # gate accepts on it and the two reports print its witness
+    search = "_sigma_condition_witness"
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.FunctionDef):
+                    ref = node.name
+                elif isinstance(node, ast.Name):
+                    ref = node.id
+                elif isinstance(node, ast.Attribute):
+                    ref = node.attr
+                elif isinstance(node, ast.alias):
+                    ref = node.name
+                else:
+                    continue
+                if ref == "_is_solution" or (ref == search and node is not top):
+                    found.add((path.name, getattr(top, "name", "<module>"), ref))
+    assert found == {
+        ("solution.py", "from_sigma", search),
+        ("solution.py", "verify_tables", search),
+        ("brace.py", "check_lambda_properties", search),
+    }
+
+
 def test_layer_trace_names_resolve():
     # the benchmark's layer trace wraps these names by module.__dict__
     # lookup; read its WRAPPED tuple from the syntax tree, so a rename in
