@@ -14,6 +14,32 @@ def z_table(k):
     return [[(a + c) % k for c in range(k)] for a in range(k)]
 
 
+def c2_c4_table():
+    """C₂ × C₄ on {0,…,7}, a = 4i + j for (i, j): an additive group that
+    ``_abelian_tables`` leaves out, and whose automorphism group (the
+    dihedral group of order 8) is not abelian."""
+    return tuple(
+        tuple(((a >> 2 ^ c >> 2) << 2) | ((a & 3) + (c & 3)) % 4 for c in range(8))
+        for a in range(8)
+    )
+
+
+def _scan_braces(k):
+    """The oracle of the pruned search: every assignment in
+    [id] × Aut(A)^(k−1), in ``itertools.product`` order, that
+    ``brace_from_tables`` accepts."""
+    found = []
+    for add in br._abelian_tables(k):
+        auts = br._automorphisms(add, k)
+        for lams in itertools.product([pm.identity(k)], *[auts] * (k - 1)):
+            mul = [[add[a][lams[a][c]] for c in range(k)] for a in range(k)]
+            try:
+                found.append(br.brace_from_tables(add, mul))
+            except AxiomError:
+                continue
+    return found
+
+
 def swapped_lambda_tables():
     """The λ-table of each brace of order 4 with rows 1 and 2 swapped."""
     for b in br.find_braces(4):
@@ -358,6 +384,74 @@ class TestFindBraces:
             assert len(set(found)) == len(found)
             counts.append(len(found))
         assert counts == [1, 1, 1, 6, 1, 2]
+
+    def test_search_equals_scan(self):
+        # the same braces in the same order as the scan of Aut(A)^(k−1)
+        for k in range(1, 7):
+            assert br.find_braces(k) == _scan_braces(k)
+
+    def test_validates_only_the_braces(self, monkeypatch):
+        # the pruning is exact: every survivor is a brace, so
+        # brace_from_tables runs once per brace found
+        calls = []
+        validate = br.brace_from_tables
+
+        def counted(add, mul):
+            calls.append(None)
+            return validate(add, mul)
+
+        monkeypatch.setattr(br, "brace_from_tables", counted)
+        for k in range(1, 7):
+            calls.clear()
+            found = br.find_braces(k)
+            assert len(calls) == len(found)
+
+    def test_each_pair_checked_where_completed(self):
+        # the prefix check tests exactly the pairs (x, y) whose last
+        # placed element among x, y and x+λ_x(y) is the newest, d
+        for k in range(1, 7):
+            for add in br._abelian_tables(k):
+                auts = br._automorphisms(add, k)
+                comp = [[auts.index(pm.compose(p, q)) for q in auts] for p in auts]
+                for d in range(1, k):
+                    for lams in itertools.product([0], *[range(len(auts))] * d):
+                        lam = [auts[i] for i in lams]
+                        cells = [
+                            (x, y, add[x][lam[x][y]]) for x in range(d + 1) for y in range(d + 1)
+                        ]
+                        expected = all(
+                            lam[c] == pm.compose(lam[x], lam[y])
+                            for x, y, c in cells
+                            if c <= d and max(x, y, c) == d
+                        )
+                        assert br._closes_under_product(add, auts, comp, list(lams)) == expected
+
+    def test_order_8_on_c2_c4(self, monkeypatch):
+        # past the bound, on an additive group with a non-abelian Aut,
+        # where λ_a∘λ_b and λ_b∘λ_a differ; a scan of all 8⁷ assignments
+        # (associativity, then brace_from_tables) kept the same 28 braces
+        # in the same order
+        add = c2_c4_table()
+        monkeypatch.setattr(br, "BRACE_SEARCH_BOUND", 8)
+        monkeypatch.setattr(br, "_abelian_tables", lambda k: [add])
+        found = br.find_braces(8)
+        assert len(found) == 28
+        assert len({b.mul for b in found}) == 28
+        assert sum(b.mul == add for b in found) == 1   # the trivial brace
+
+    def test_automorphisms_fix_zero_in_order(self):
+        # the (k−1)! permutations fixing 0 give the same list, in the
+        # same order, as filtering all k! permutations
+        for k in range(1, 7):
+            for add in br._abelian_tables(k):
+                scan = [
+                    p
+                    for p in itertools.permutations(range(k))
+                    if p[0] == 0
+                    and all(p[add[a][c]] == add[p[a]][p[c]] for a in range(k) for c in range(k))
+                ]
+                assert br._automorphisms(add, k) == scan
+                assert scan[0] == pm.identity(k)
 
     def test_deterministic_order(self):
         a = [(b.add, b.mul) for b in br.find_braces(4)]

@@ -154,6 +154,34 @@ def test_one_sigma_condition_search():
     }
 
 
+def test_brace_search_skips_no_candidate():
+    # find_braces builds every survivor of its search with the validating
+    # brace_from_tables, so brace.py catches no AxiomError (nor a bare
+    # except or a base class of it) and a failing survivor surfaces
+    catching = {"AxiomError", "YbeError", "ValueError", "Exception", "BaseException"}
+    path = SRC / "brace.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        if node.type is None or catching & {
+            getattr(sub, "id", getattr(sub, "attr", None)) for sub in ast.walk(node.type)
+        }:
+            found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_brace_scan_oracle_stays_in_tests():
+    # the scan of Aut(A)^(k−1) is the tests' oracle of find_braces
+    found = [
+        f"{path.name}:{n}"
+        for path in sorted(SRC.glob("*.py"))
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "_scan_braces" in line
+    ]
+    assert found == []
+
+
 def test_layer_trace_names_resolve():
     # the benchmark's layer trace wraps these names by module.__dict__
     # lookup; read its WRAPPED tuple from the syntax tree, so a rename in
