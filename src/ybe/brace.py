@@ -10,6 +10,7 @@ rejected rather than relabeled.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -194,13 +195,13 @@ def check_eq_3_1(lt: LambdaTable, xbar, ybar) -> bool:
     σ = λ over the whole brace: the product h₁⋯h_j must equal
     λ_{x₁⋯xₙ}(y₁⋯y_j) for every j. By cancellation that makes each h_j
     (j ≥ 2) the quotient λ_{x₁⋯xₙ}(y₁⋯y_{j-1})⁻¹ · λ_{x₁⋯xₙ}(y₁⋯y_j).
-    The per-pair oracle of ``_eq_3_1_failing``: one h-recursion per pair."""
+    The per-pair oracle of ``_eq_3_1_failing``: h̄ is ψ(λ_{x₁}⋯λ_{xₙ})(ȳ)
+    by ``power.psi_apply``, the oracle of the power rows too."""
     if len(ybar) != len(xbar):
         raise ValueError("tuples must have equal length")
     lam_x, big_x = eq_3_1_key(lt, xbar)
-    pw.check_tuple(lt.owner.k, ybar)
     b, lam = lt.owner, lt.table
-    h = pw._f_tuple(lam, lt.inverses, lam_x, ybar)
+    h = pw.psi_apply(lam, lam_x, ybar)
     y_prod = h_prod = 0   # y₁⋯y_j and h₁⋯h_j
     for y, hj in zip(ybar, h):
         y_prod = b.mul[y_prod][y]
@@ -312,21 +313,6 @@ def _closes_under_product(add, auts, comp, lams) -> bool:
     return True
 
 
-def _place_lambdas(add, auts, comp, lams, out) -> None:
-    """Depth-first over λ₁, λ₂, … as indices into ``auts``, each in
-    ``auts`` order, so the full assignments come in lexicographic order.
-    A branch is dropped as soon as a completed pair fails the closure
-    condition; every pair is completed by λ_{k−1}."""
-    if len(lams) == len(add):
-        out.append(tuple(lams))
-        return
-    for i in range(len(auts)):
-        lams.append(i)
-        if _closes_under_product(add, auts, comp, lams):
-            _place_lambdas(add, auts, comp, lams, out)
-        lams.pop()
-
-
 def find_braces(k: int) -> list[Brace]:
     """All left braces of order k with identity 0, by a pruned search.
 
@@ -339,10 +325,12 @@ def find_braces(k: int) -> list[Brace]:
     gives a(b+c)+a = ab+ac; conversely λ_{ab} = λ_aλ_b holds in every
     brace. So the assignments that satisfy it are exactly the braces.
 
-    For each abelian structure, λ₁, λ₂, … are placed depth first in
-    ``_automorphisms`` order, as interned indices with one |Aut|²
-    composition table, and a branch is dropped as soon as a pair fails
-    the condition (``_closes_under_product``). Each survivor is built by
+    For each abelian structure, ``solution._place`` puts down λ₁, λ₂, …
+    after λ₀ = id, in ``_automorphisms`` order, as interned indices with
+    one |Aut|² composition table, and drops a branch as soon as a pair
+    fails the condition (``_closes_under_product``); every pair is
+    completed by λ_{k−1}, so the assignments come in the order of the
+    scan of [id] × Aut(A)^(k−1). Each survivor is built by
     the validating ``brace_from_tables``, so an error there is a bug.
     No brace is found twice: the additive tables differ, and the row
     a·b = a + λ_a(b) fixes λ_a.
@@ -356,8 +344,9 @@ def find_braces(k: int) -> list[Brace]:
         auts = _automorphisms(add, k)
         index = {p: i for i, p in enumerate(auts)}
         comp = [[index[pm.compose(p, q)] for q in auts] for p in auts]
+        closes = functools.partial(_closes_under_product, add, auts, comp)
         assignments = []
-        _place_lambdas(add, auts, comp, [0], assignments)
+        sol._place(range(len(auts)), k, closes, [0], assignments)
         for lams in assignments:
             mul = tuple(
                 tuple(add[a][auts[i][c]] for c in range(k)) for a, i in enumerate(lams)

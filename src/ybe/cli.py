@@ -278,9 +278,6 @@ def main(argv=None) -> int:
         if args.cap < 1:
             raise ParseError(f"--cap must be positive, got {args.cap}")
         return args.func(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except SizeCapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP
@@ -291,7 +288,7 @@ def main(argv=None) -> int:
         if e.witness is not None:
             print(f"witness: {e.witness}")
         return EXIT_PROPERTY
-    except ValueError as e:
+    except ValueError as e:  # ParseError too
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

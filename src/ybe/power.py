@@ -111,9 +111,9 @@ def _sigma_product(sigma, xbar) -> Perm:
 
 
 def _f_tuple(sigma, inv, sig_x, ybar) -> tuple[int, ...]:
-    """f_x̄(ȳ) via the h_j recursion (independent of psi_apply), for any
-    σ-table: a solution's, or the λ-table of a brace. ``inv`` holds the
-    inverses of the rows and ``sig_x`` the product σ_{x₁}⋯σ_{xₙ}, both
+    """f_x̄(ȳ) via the h_j recursion (independent of psi_apply), the
+    row build of ``power_solution`` and ``f_map``. ``inv`` holds the
+    inverses of the σ-rows and ``sig_x`` the product σ_{x₁}⋯σ_{xₙ}, both
     built once per x̄ by the caller."""
     h = [sig_x[ybar[0]]]
     for j in range(1, len(ybar)):

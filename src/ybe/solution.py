@@ -243,52 +243,56 @@ def permutation_group(s: Solution, cap: int = pm.DEFAULT_CAP) -> GeneratedGroup:
     return pm.close_group(gens, cap=cap)
 
 
-def _completes_sigma_condition(rows, invs, k) -> bool:
+def _completes_sigma_condition(rows) -> bool:
     """σ_x∘σ_{σ_x⁻¹(y)} = σ_y∘σ_{σ_y⁻¹(x)} on every pair x < y whose four
-    rows are placed (indices ≤ k) and include row k: the pairs that row
-    k completes. Each pair is checked at exactly one k."""
+    rows are placed (indices ≤ k, the newest row) and include row k: the
+    pairs that row k completes. ``rows`` holds the placed (σ_x, σ_x⁻¹)
+    pairs. Each pair is checked at exactly one k."""
+    k = len(rows) - 1
     for y in range(k + 1):
         for x in range(y):
-            u, v = invs[x][y], invs[y][x]
+            u, v = rows[x][1][y], rows[y][1][x]
             if u > k or v > k or k not in (y, u, v):
                 continue
-            if pm.compose(rows[x], rows[u]) != pm.compose(rows[y], rows[v]):
+            if pm.compose(rows[x][0], rows[u][0]) != pm.compose(rows[y][0], rows[v][0]):
                 return False
     return True
 
 
-def _place_rows(rows, invs, perms, inverses, out) -> None:
-    """Depth-first over σ-rows in order, each row in ``perms`` order, so
-    the full tables come in lexicographic order. A branch is dropped as
-    soon as the σ-condition fails on a completed pair; every pair is
-    completed by the last row, so every full table left is a solution."""
-    k = len(rows)
-    if k == len(perms[0]):
-        out.append(Solution(tuple(rows)))
+def _place(candidates, size, completes, prefix, out) -> None:
+    """Depth-first extension of ``prefix`` to ``size`` entries, each new
+    entry in ``candidates`` order, so the full tuples reach ``out`` in
+    lexicographic order. A branch is dropped as soon as
+    ``completes(prefix)`` fails on the newest entry. The one placement
+    search: σ-rows for ``enumerate_solutions`` and λ-rows for
+    ``brace.find_braces``."""
+    if len(prefix) == size:
+        out.append(tuple(prefix))
         return
-    for p, p_inv in zip(perms, inverses):
-        rows.append(p)
-        invs.append(p_inv)
-        if _completes_sigma_condition(rows, invs, k):
-            _place_rows(rows, invs, perms, inverses, out)
-        rows.pop()
-        invs.pop()
+    for c in candidates:
+        prefix.append(c)
+        if completes(prefix):
+            _place(candidates, size, completes, prefix, out)
+        prefix.pop()
 
 
 def enumerate_solutions(m: int) -> list[Solution]:
     """Every solution on m points, in lexicographic order of σ-tables.
 
-    A backtracking search over σ-rows pruned by the σ-condition; the
-    tests check it against the brute-force scan of all (m!)^m tables.
+    ``_place`` puts down σ-rows, as (σ, σ⁻¹) pairs in ``pm.all_perms``
+    order, and drops a branch as soon as the σ-condition fails on a
+    pair whose four rows are placed; the last row completes every pair,
+    so each full table left is a solution. The tests check it against
+    the brute-force scan of all (m!)^m tables.
     """
     if m < 1:
         raise ValueError("empty set is not allowed")
     if m > ENUMERATION_BOUND:
         raise SizeCapExceeded(f"enumeration bound {ENUMERATION_BOUND} exceeded (m={m})")
-    perms = pm.all_perms(m)
-    out = []
-    _place_rows([], [], perms, [pm.inverse(p) for p in perms], out)
-    return out
+    pairs = [(p, pm.inverse(p)) for p in pm.all_perms(m)]
+    tables = []
+    _place(pairs, m, _completes_sigma_condition, [], tables)
+    return [Solution(tuple(p for p, _ in rows)) for rows in tables]
 
 
 def _relabelled(sigma, phi) -> tuple[Perm, ...]:

@@ -85,6 +85,7 @@ class TestVerify:
     def test_garbage_is_usage_error(self, capsys, tmp_path, swap2_file, brace_z4_file):
         p = tmp_path / "garbage.txt"
         p.write_text("not a file format\n")
+        errors = []
         for argv in (
             ("verify", str(p)),
             ("--cap", "-1", "permgroup", swap2_file),
@@ -95,6 +96,9 @@ class TestVerify:
             assert code == 2, argv
             assert out == ""
             assert "error" in err
+            errors.append(err)
+        # a ParseError is a ValueError, and takes its handler
+        assert errors[0] == "error: line 1: expected a single size on the first line\n"
 
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "verify", "/nonexistent/path.txt")

@@ -286,6 +286,51 @@ class TestEnumerate:
             gc.enable()
 
 
+class TestPlace:
+    def test_accepting_predicate_gives_every_extension_in_order(self):
+        candidates = "abc"
+        for prefix in ([], ["b"], ["a", "c"], ["c", "a", "b"]):
+            given = list(prefix)
+            out = []
+            sol._place(candidates, 3, lambda placed: True, given, out)
+            rest = itertools.product(candidates, repeat=3 - len(prefix))
+            assert out == [tuple(prefix) + t for t in rest]
+            assert given == prefix
+
+    def test_rejected_prefix_prunes_its_subtree(self):
+        # a prefix whose newest entry is 1 is dropped, so none of its
+        # extensions is offered to the predicate or reaches out
+        offered = []
+
+        def completes(placed):
+            offered.append(tuple(placed))
+            return placed[-1] != 1
+
+        out = []
+        sol._place(range(3), 3, completes, [], out)
+        assert out == [t for t in itertools.product(range(3), repeat=3) if 1 not in t]
+        assert all(1 not in placed[:-1] for placed in offered)
+        assert len(offered) == 3 + 2 * 3 + 4 * 3
+
+    def test_each_sigma_pair_checked_where_completed(self):
+        # the σ predicate tests exactly the pairs x < y whose last placed
+        # row among x, y, σ_x⁻¹(y) and σ_y⁻¹(x) is the newest, k
+        for m in range(1, 4):
+            perms = pm.all_perms(m)
+            for k in range(m):
+                for rows in itertools.product(perms, repeat=k + 1):
+                    inverses = [pm.inverse(p) for p in rows]
+                    expected = all(
+                        pm.compose(rows[x], rows[u]) == pm.compose(rows[y], rows[v])
+                        for y in range(k + 1)
+                        for x in range(y)
+                        for u, v in [(inverses[x][y], inverses[y][x])]
+                        if max(y, u, v) == k
+                    )
+                    placed = list(zip(rows, inverses))
+                    assert sol._completes_sigma_condition(placed) == expected
+
+
 class TestSolutionsIsomorphic:
     def test_trivial_vs_swap(self, swap2):
         assert sol.solutions_isomorphic(sol.trivial(2), swap2) is None

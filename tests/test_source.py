@@ -154,6 +154,38 @@ def test_one_sigma_condition_search():
     }
 
 
+def test_one_placement_search():
+    # the σ-row and λ-row searches share one depth-first placement,
+    # solution._place, the only function in the package that calls itself
+    # (by its name, or as an attribute of a name: a module or self)
+    def callee(call):
+        if isinstance(call.func, ast.Name):
+            return call.func.id
+        if isinstance(call.func, ast.Attribute) and isinstance(call.func.value, ast.Name):
+            return call.func.attr
+        return None
+
+    recursive = set()
+    users = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(call, ast.Call) and callee(call) == node.name
+                for call in ast.walk(node)
+            ):
+                recursive.add((path.name, node.name))
+        for top in tree.body:
+            if getattr(top, "name", None) == "_place":
+                continue
+            for node in ast.walk(top):
+                ref = getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+                if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and ref == "_place":
+                    users.add((path.name, getattr(top, "name", "<module>")))
+    assert recursive == {("solution.py", "_place")}
+    assert users == {("solution.py", "enumerate_solutions"), ("brace.py", "find_braces")}
+
+
 def test_brace_search_skips_no_candidate():
     # find_braces builds every survivor of its search with the validating
     # brace_from_tables, so brace.py catches no AxiomError (nor a bare
