@@ -122,9 +122,7 @@ def brace_from_tables(add, mul) -> Brace:
 
 def trivial_brace(add_table) -> Brace:
     """The brace with a·b = a+b; every λ_a is the identity."""
-    k = len(add_table)
-    add = _freeze_table(add_table, k, "add")
-    return brace_from_tables(add, add)
+    return brace_from_tables(add_table, add_table)
 
 
 def lambda_table(b: Brace) -> LambdaTable:
@@ -257,7 +255,8 @@ def eq_3_1_sampled_failures(
     eq. 3.1. Each distinct x̄ is keyed once, and each distinct (key, n)
     walked once, under the cap on kⁿ of ``eq_3_1_failures``. The walk is
     keyed on n too: in a brace λ₀ is the identity, so (a, b) and
-    (0, a, b) share a key."""
+    (0, a, b) share a key. Each x̄ must be a tuple, as it is a dict
+    key; each ȳ may be any sequence."""
     k = lt.owner.k
     by_x = {}     # x̄ -> the ȳ that fail with it
     by_key = {}   # (key, n) -> the same frozenset

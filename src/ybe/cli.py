@@ -54,9 +54,8 @@ def _print_report(report):
 
 def cmd_verify(args):
     # accepts by from_sigma's gate; only a rejection runs verify_tables
-    sigma = files.parse_sigma_table(_read(args.file))
     try:
-        sol.from_sigma(sigma)
+        files.parse_solution(_read(args.file))
     except AxiomError as e:
         _print_report(e.report)
         return EXIT_PROPERTY
@@ -124,12 +123,9 @@ def cmd_present(args):
     for x in range(s.m):
         for y in range(s.m):
             z, t = sol.r_apply(s, x, y)
-            if (z, t) == (x, y):
-                continue  # trivial relation g_x g_y = g_x g_y
-            if (x, y) > (z, t):
-                continue  # the involutive partner of an emitted relation
-            print(f"  g{x} g{y} = g{z} g{t}")
-            count += 1
+            if (x, y) < (z, t):  # not trivial, nor the partner of a printed one
+                print(f"  g{x} g{y} = g{z} g{t}")
+                count += 1
     print(f"relation count: {count}")
     return EXIT_OK
 

@@ -75,7 +75,7 @@ def perm_order(p: Perm) -> int:
 
 def all_perms(m: int):
     """All m! permutations of degree m, in lexicographic order."""
-    return [tuple(p) for p in itertools.permutations(range(m))]
+    return list(itertools.permutations(range(m)))
 
 
 @dataclass(frozen=True)

@@ -170,8 +170,6 @@ def from_sigma(sigmas) -> Solution:
     own. On failure raises AxiomError carrying the five-axiom
     VerifyReport of ``verify_tables``, which takes up to N³ steps, so
     above REPORT_BOUND_M it raises SizeCapExceeded instead."""
-    if not sigmas:
-        raise ValueError("empty sigma table")
     m = len(sigmas)
     sigma = []
     for x, row in enumerate(sigmas):
@@ -217,18 +215,13 @@ def disjoint_union(parts) -> Solution:
     parts = list(parts)
     if not parts:
         raise ValueError("need at least one part")
-    offsets = []
-    total = 0
-    for p in parts:
-        offsets.append(total)
-        total += p.m
+    total = sum(p.m for p in parts)
     sigma = []
-    for p, off in zip(parts, offsets):
-        for row in p.sigma:
-            full = list(range(total))
-            for j, img in enumerate(row):
-                full[off + j] = off + img
-            sigma.append(tuple(full))
+    off = 0
+    for p in parts:
+        head, tail = tuple(range(off)), tuple(range(off + p.m, total))
+        sigma.extend(head + tuple(off + v for v in row) + tail for row in p.sigma)
+        off += p.m
     return from_sigma(sigma)
 
 

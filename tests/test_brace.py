@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 
@@ -22,6 +23,18 @@ def c2_c4_table():
         tuple(((a >> 2 ^ c >> 2) << 2) | ((a & 3) + (c & 3)) % 4 for c in range(8))
         for a in range(8)
     )
+
+
+# tables that no brace has as its addition, each with the message and
+# witness of the first check that rejects it
+MALFORMED_TABLES = [
+    ([], "empty brace is not allowed", None),
+    ([[0, 1], [1]], "add row 1 has length 1, expected 2", None),
+    ([[0, 2], [1, 0]], "add[0] contains out-of-range entry 2", None),
+    ([[1, 0], [0, 1]], "add: 0 is not an identity", (0,)),
+    ([[0, 1, 2], [1, 2, 2], [2, 2, 0]], "add: not associative", (1, 1, 2)),
+    ([[0, 1], [1, 1]], "add: element 1 has no inverse", (1,)),
+]
 
 
 def _scan_braces(k):
@@ -90,6 +103,16 @@ class TestBraceFromTables:
         assert "brace property" in str(exc.value)
         assert exc.value.witness is not None
 
+    def test_rejects_malformed_tables(self):
+        for table, message, witness in MALFORMED_TABLES:
+            with pytest.raises(AxiomError, match=f"^{re.escape(message)}$") as exc:
+                br.brace_from_tables(table, table)
+            assert exc.value.witness == witness
+
+    def test_rejects_mul_with_wrong_row_count(self):
+        with pytest.raises(AxiomError, match="^mul has 1 rows, expected 2$"):
+            br.brace_from_tables(z_table(2), [[0, 1]])
+
     def test_rejects_non_commutative_add(self):
         s3 = pm.close_group([(1, 0, 2), (0, 2, 1)])
         table = [
@@ -115,6 +138,16 @@ class TestTrivialBrace:
         b = br.trivial_brace(z_table(4))
         assert br.check_lambda_properties(br.lambda_table(b)).all_ok
 
+    def test_malformed_table_raises_as_brace_from_tables(self):
+        for table, _, _ in MALFORMED_TABLES:
+            with pytest.raises(AxiomError) as direct:
+                br.brace_from_tables(table, table)
+            with pytest.raises(AxiomError) as trivial:
+                br.trivial_brace(table)
+            assert (str(trivial.value), trivial.value.witness) == (
+                str(direct.value), direct.value.witness
+            )
+
 
 class TestLambdaTable:
     def test_z4_lambda_one(self, brace_z4):
@@ -123,6 +156,12 @@ class TestLambdaTable:
 
     def test_lambda_zero_is_identity(self, brace_z4):
         assert br.lambda_table(brace_z4).table[0] == pm.identity(4)
+
+    def test_rejects_non_bijective_row(self):
+        # a Brace built directly is not validated; lambda_table checks its rows
+        b = br.Brace(k=2, add=((0, 1), (1, 0)), mul=((0, 1), (0, 0)), neg=(0, 1), inv=(0, 1))
+        with pytest.raises(AxiomError, match="^lambda map of element 1 is not a bijection$"):
+            br.lambda_table(b)
 
     def test_all_rows_bijective(self):
         for k in (2, 3, 4):
@@ -375,6 +414,8 @@ class TestFindBraces:
     def test_bound(self):
         with pytest.raises(SizeCapExceeded):
             br.find_braces(7)
+        with pytest.raises(ValueError, match="^order must be at least 1$"):
+            br.find_braces(0)
 
     def test_labelled_counts_without_repeats(self):
         # the scan finds no brace twice, so it keeps no dedup set

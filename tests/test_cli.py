@@ -1,6 +1,11 @@
 import gc
+import itertools
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +56,22 @@ def one_point_file(tmp_path):
     p = tmp_path / "one_point.txt"
     p.write_text("1\n0\n")
     return str(p)
+
+
+def present_reference(s):
+    """``ybe present``'s stdout by the two-branch rule: a relation is
+    skipped when it is trivial, r(x, y) = (x, y), and when it is the
+    involutive partner of a printed one, (x, y) > r(x, y)."""
+    lines = [f"generators: {' '.join(f'g{i}' for i in range(s.m))}", "relations:"]
+    for x, y in itertools.product(range(s.m), repeat=2):
+        z, t = sol.r_apply(s, x, y)
+        if (z, t) == (x, y):
+            continue
+        if (x, y) > (z, t):
+            continue
+        lines.append(f"  g{x} g{y} = g{z} g{t}")
+    lines.append(f"relation count: {len(lines) - 2}")
+    return "\n".join(lines) + "\n"
 
 
 def count_calls(monkeypatch, module, name):
@@ -136,6 +157,21 @@ class TestRejectionReport:
         )
         cli._print_report(sol.VerifyReport(sol.AXIOMS, {}))
         assert capsys.readouterr().out == "".join(f"{a}: pass\n" for a in sol.AXIOMS)
+
+    def test_other_commands_print_the_report_from_main(self, capsys, tmp_path):
+        # a command other than verify lets the AxiomError reach main
+        p = tmp_path / "bad.txt"
+        p.write_text("2\n0 1\n1 0\n")
+        assert run(capsys, "power", str(p), "2") == (
+            1,
+            "involutive: pass\n"
+            "left_nondegenerate: pass\n"
+            "right_nondegenerate: FAIL at (0,)\n"
+            "braid_direct: FAIL at (0, 0, 1)\n"
+            "braid_sigma_condition: FAIL at (0, 1)\n",
+            "error: not a solution; failed axioms: "
+            "right_nondegenerate, braid_direct, braid_sigma_condition\n",
+        )
 
     def test_report_within_bound(self, capsys, tmp_path):
         p = tmp_path / "bad64.txt"
@@ -278,6 +314,14 @@ class TestPower:
             "brace", "eq31-check", brace_z4_file, "--n", "7", "--samples", "5",
         ) == (0, "checked 5 sampled tuple pairs (n=7, seed=0)\nfailures: 0\n", "")
 
+    def test_length_below_two_is_usage_error(self, capsys, swap2_file, brace_z4_file):
+        assert run(capsys, "power", swap2_file, "1") == (
+            2, "", "error: exponent must be at least 2, got 1\n"
+        )
+        assert run(capsys, "brace", "eq31-check", brace_z4_file, "--n", "1") == (
+            2, "", "error: tuple length must be at least 2, got 1\n"
+        )
+
     def test_cap_declines_before_building(self, capsys, monkeypatch, tmp_path, o8):
         # O8⁵ at n=2 has degree 400, under the cap, but its base group
         # has order 8⁵; the degree is checked first, so O8 at n=2 under
@@ -402,6 +446,13 @@ class TestPresent:
         assert code == 0
         count = int(out.splitlines()[-1].split(":")[1])
         assert count <= 9
+
+    def test_every_small_solution_matches_two_branch_rule(self, capsys, tmp_path):
+        p = tmp_path / "s.txt"
+        for m in range(1, 5):
+            for s in sol.enumerate_solutions(m):
+                p.write_text(files.emit_solution(s))
+                assert run(capsys, "present", str(p)) == (0, present_reference(s), "")
 
 
 class TestBraceCommands:
@@ -564,6 +615,21 @@ class TestMain:
             finally:
                 gc.enable()
             capsys.readouterr()
+
+    def test_module_run_exits_with_main_code(self, capsys, tmp_path, swap2_file):
+        # python -m ybe.cli runs entry(), which exits with main's return
+        bad = tmp_path / "bad.txt"
+        bad.write_text("2\n0 1\n1 0\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        codes = []
+        for path in (swap2_file, str(bad)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "ybe.cli", "verify", path],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, "verify", path)
+            codes.append(proc.returncode)
+        assert codes == [0, 1]
 
 
 class TestDeterminism:

@@ -60,6 +60,8 @@ class TestBasics:
     def test_perm_rejects_non_bijection(self):
         with pytest.raises(ValueError):
             pm.perm((0, 0, 1))
+        with pytest.raises(ValueError, match="^empty image list"):
+            pm.perm([])
 
     @given(perms(), st.data())
     def test_inverse_law(self, p, data):
@@ -217,6 +219,21 @@ class TestGroupOrder:
             pm.group_order([])
 
 
+def q8_left_regular(a):
+    """Left multiplication by a in the quaternion group Q8, with ±1, ±i,
+    ±j, ±k numbered 4s + u for the sign (−1)^s and the unit u of 1, i, j, k."""
+    units = {(1, 1): (1, 0), (1, 2): (0, 3), (1, 3): (1, 2),
+             (2, 1): (1, 3), (2, 2): (1, 0), (2, 3): (0, 1),
+             (3, 1): (0, 2), (3, 2): (1, 1), (3, 3): (1, 0)}
+
+    def mul(x, y):
+        (sx, ux), (sy, uy) = divmod(x, 4), divmod(y, 4)
+        s, u = units.get((ux, uy), (0, ux + uy))  # 1 is the identity unit
+        return 4 * (sx ^ sy ^ s) + u
+
+    return tuple(mul(a, x) for x in range(8))
+
+
 class TestGroupsIsomorphic:
     def test_two_transpositions_on_degree_four(self):
         g = pm.close_group([(1, 0, 2, 3)])
@@ -232,6 +249,33 @@ class TestGroupsIsomorphic:
         klein = pm.close_group([(1, 0, 2, 3), (0, 1, 3, 2)])
         assert c4.order == klein.order == 4
         assert pm.groups_isomorphic(c4, klein) is None
+
+    def test_same_invariants_not_isomorphic(self):
+        # C4×C4 and Q8×C2 share the order 16 and the element orders (one
+        # of order 1, three of order 2, twelve of order 4), so only the
+        # search over generator images, run to its end, tells them apart
+        c4_c4 = pm.close_group([(1, 2, 3, 0, 4, 5, 6, 7), (0, 1, 2, 3, 5, 6, 7, 4)])
+        q8_c2 = pm.close_group(
+            [q8_left_regular(1) + (8, 9), q8_left_regular(2) + (8, 9), tuple(range(8)) + (9, 8)]
+        )
+        assert c4_c4.order == q8_c2.order == 16
+        assert c4_c4.element_order_multiset() == q8_c2.element_order_multiset()
+        assert pm.groups_isomorphic(c4_c4, q8_c2) is None
+        assert pm.groups_isomorphic(q8_c2, c4_c4) is None
+
+    def test_injective_non_morphism_rejected(self):
+        # S4 from its Coxeter generators (0 1), (1 2), (2 3) into S4 from
+        # (0 1 2) and (2 3): the search meets generator images whose
+        # extension is injective but not a morphism, and only the
+        # morphism check keeps that map from being returned
+        g = pm.close_group([(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)])
+        h = pm.close_group([(1, 2, 0, 3), (0, 1, 3, 2)])
+        phi = pm.groups_isomorphic(g, h)
+        assert all(
+            phi[pm.compose(a, b)] == pm.compose(phi[a], phi[b])
+            for a in g.elements
+            for b in g.elements
+        )
 
     def test_trivial_groups(self):
         g = pm.close_group([pm.identity(2)])

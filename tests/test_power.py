@@ -126,6 +126,8 @@ class TestFMap:
             pw.f_map(swap2, (0, 2), 2)
         with pytest.raises(ValueError):
             pw.f_map(swap2, (-1, 0), 2)
+        with pytest.raises(ValueError, match="^expected a 2-tuple, got 1 entries$"):
+            pw.f_map(swap2, (0,), 2)
 
     def test_equals_psi_of_product_everywhere(self, corpus):
         for s in corpus:

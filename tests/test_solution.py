@@ -63,11 +63,35 @@ class TestFromSigma:
             sol.from_sigma([(0, 0), (0, 1)])
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        # an empty table passes the gate and the Solution constructor raises
+        with pytest.raises(ValueError, match="^empty set is not allowed$"):
             sol.from_sigma([])
 
 
+def union_by_offsets(parts):
+    """The σ-table of the disjoint union by an offsets pass and then an
+    identity row patched entry by entry: the reference for
+    ``disjoint_union``'s one-pass rows."""
+    offsets = []
+    total = 0
+    for p in parts:
+        offsets.append(total)
+        total += p.m
+    sigma = []
+    for p, off in zip(parts, offsets):
+        for row in p.sigma:
+            full = list(range(total))
+            for j, img in enumerate(row):
+                full[off + j] = off + img
+            sigma.append(tuple(full))
+    return tuple(sigma)
+
+
 class TestSigmaOnly:
+    def test_empty_solution_rejected(self):
+        with pytest.raises(ValueError, match="^empty set is not allowed$"):
+            sol.Solution(())
+
     def test_sigma_is_the_only_field(self):
         assert [f.name for f in dataclasses.fields(sol.Solution)] == ["sigma"]
 
@@ -224,6 +248,14 @@ class TestConstructions:
                 assert sol.r_apply(u, x, y) == (y, x)
                 assert sol.r_apply(u, y, x) == (x, y)
 
+    def test_union_equals_offsets_construction(self, corpus):
+        for a, b in itertools.product(corpus, repeat=2):
+            assert sol.disjoint_union([a, b]).sigma == union_by_offsets([a, b])
+
+    def test_union_of_nothing_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one part$"):
+            sol.disjoint_union([])
+
     def test_adjoin_fixed_point_trivial(self):
         s = sol.adjoin_fixed_point(sol.trivial(2))
         assert s.sigma == sol.trivial(3).sigma
@@ -273,6 +305,8 @@ class TestEnumerate:
     def test_bound(self):
         with pytest.raises(SizeCapExceeded):
             sol.enumerate_solutions(5)
+        with pytest.raises(ValueError, match="^empty set is not allowed$"):
+            sol.enumerate_solutions(0)
 
     def test_leaves_no_cyclic_garbage(self):
         # a reference cycle would keep every found Solution alive until

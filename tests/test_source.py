@@ -24,6 +24,27 @@ ORACLES = {
 }
 
 
+def references(path):
+    """The (top-level definition, name) pairs of a module: every Name id,
+    Attribute attr, import alias and nested def name inside each
+    top-level statement, paired with that statement's name, or with
+    "<module>" for a statement that has none. Names in the syntax tree
+    only, so comments and strings do not count."""
+    found = set()
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                found.add((owner, node.id))
+            elif isinstance(node, ast.Attribute):
+                found.add((owner, node.attr))
+            elif isinstance(node, ast.alias):
+                found.add((owner, node.name))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node is not top:
+                found.add((owner, node.name))
+    return found
+
+
 def test_no_assert_in_package():
     # python -O strips assert statements, so no invariant may rely on one
     paths = sorted(SRC.glob("*.py"))
@@ -75,42 +96,27 @@ def test_all_names_exactly_the_public_api():
 
 
 def test_cli_calls_no_oracle():
-    # names and attributes in the syntax tree, so comments do not count
-    path = SRC / "cli.py"
-    found = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name):
-            name = node.id
-        elif isinstance(node, ast.Attribute):
-            name = node.attr
-        elif isinstance(node, ast.alias):
-            name = node.name
-        else:
-            continue
-        if name in ORACLES:
-            found.append(f"{path.name}:{node.lineno} {name}")
-    assert found == []
+    found = {(top, name) for top, name in references(SRC / "cli.py") if name in ORACLES}
+    assert found == set()
+
+
+def test_cli_reads_solutions_only_through_parse_solution():
+    # every command takes a solution file through files.parse_solution,
+    # so none parses the raw σ-table and builds the solution itself
+    found = {top for top, name in references(SRC / "cli.py") if name == "parse_sigma_table"}
+    assert found == set()
 
 
 def test_only_permgroup_lists_a_group():
     # every other order is counted by perm.group_order; permgroup lists
     # the group for its element-order multiset
     listing = {"permutation_group", "close_group"}
-    found = set()
-    for name in ("cli.py", "power.py"):
-        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
-        for top in tree.body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    ref = node.id
-                elif isinstance(node, ast.Attribute):
-                    ref = node.attr
-                elif isinstance(node, ast.alias):
-                    ref = node.name
-                else:
-                    continue
-                if ref in listing:
-                    found.add((name, getattr(top, "name", "<module>")))
+    found = {
+        (module, top)
+        for module in ("cli.py", "power.py")
+        for top, name in references(SRC / module)
+        if name in listing
+    }
     assert found == {("cli.py", "cmd_permgroup")}
 
 
@@ -130,23 +136,12 @@ def test_one_sigma_condition_search():
     # the σ-condition on a whole table is decided by one search: the
     # gate accepts on it and the two reports print its witness
     search = "_sigma_condition_witness"
-    found = set()
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for top in tree.body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.FunctionDef):
-                    ref = node.name
-                elif isinstance(node, ast.Name):
-                    ref = node.id
-                elif isinstance(node, ast.Attribute):
-                    ref = node.attr
-                elif isinstance(node, ast.alias):
-                    ref = node.name
-                else:
-                    continue
-                if ref == "_is_solution" or (ref == search and node is not top):
-                    found.add((path.name, getattr(top, "name", "<module>"), ref))
+    found = {
+        (path.name, top, name)
+        for path in sorted(SRC.glob("*.py"))
+        for top, name in references(path)
+        if name in (search, "_is_solution") or top == "_is_solution"
+    }
     assert found == {
         ("solution.py", "from_sigma", search),
         ("solution.py", "verify_tables", search),
@@ -166,22 +161,19 @@ def test_one_placement_search():
         return None
 
     recursive = set()
-    users = set()
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
                 isinstance(call, ast.Call) and callee(call) == node.name
                 for call in ast.walk(node)
             ):
                 recursive.add((path.name, node.name))
-        for top in tree.body:
-            if getattr(top, "name", None) == "_place":
-                continue
-            for node in ast.walk(top):
-                ref = getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
-                if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and ref == "_place":
-                    users.add((path.name, getattr(top, "name", "<module>")))
+    users = {
+        (path.name, top)
+        for path in sorted(SRC.glob("*.py"))
+        for top, name in references(path)
+        if name == "_place" and top != "_place"
+    }
     assert recursive == {("solution.py", "_place")}
     assert users == {("solution.py", "enumerate_solutions"), ("brace.py", "find_braces")}
 
