@@ -104,10 +104,14 @@ class TestBraceFromTables:
         assert exc.value.witness is not None
 
     def test_rejects_malformed_tables(self):
+        # trivial_brace(t) is brace_from_tables(t, t) and raises the same
         for table, message, witness in MALFORMED_TABLES:
-            with pytest.raises(AxiomError, match=f"^{re.escape(message)}$") as exc:
+            pattern = f"^{re.escape(message)}$"
+            with pytest.raises(AxiomError, match=pattern) as direct:
                 br.brace_from_tables(table, table)
-            assert exc.value.witness == witness
+            with pytest.raises(AxiomError, match=pattern) as trivial:
+                br.trivial_brace(table)
+            assert direct.value.witness == trivial.value.witness == witness
 
     def test_rejects_mul_with_wrong_row_count(self):
         with pytest.raises(AxiomError, match="^mul has 1 rows, expected 2$"):
@@ -137,16 +141,6 @@ class TestTrivialBrace:
     def test_brace_property_holds(self):
         b = br.trivial_brace(z_table(4))
         assert br.check_lambda_properties(br.lambda_table(b)).all_ok
-
-    def test_malformed_table_raises_as_brace_from_tables(self):
-        for table, _, _ in MALFORMED_TABLES:
-            with pytest.raises(AxiomError) as direct:
-                br.brace_from_tables(table, table)
-            with pytest.raises(AxiomError) as trivial:
-                br.trivial_brace(table)
-            assert (str(trivial.value), trivial.value.witness) == (
-                str(direct.value), direct.value.witness
-            )
 
 
 class TestLambdaTable:
