@@ -9,7 +9,6 @@ rejected rather than relabeled.
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 from dataclasses import dataclass
@@ -238,43 +237,16 @@ def _eq_3_1_failing(lt: LambdaTable, key, n: int) -> frozenset:
     return frozenset(failing)
 
 
-def eq_3_1_failures(lt: LambdaTable, n: int, cap: int = pw.DEFAULT_POWER_CAP) -> int:
-    """The number of pairs (x̄, ȳ) of n-tuples that fail eq. 3.1, out of
-    all k²ⁿ: each distinct x̄-key is walked once and its failing ȳ
-    counted as often as the key occurs among the kⁿ tuples x̄."""
+def eq_3_1_failing_sets(lt: LambdaTable, n: int, cap: int = pw.DEFAULT_POWER_CAP) -> dict:
+    """Each n-tuple x̄, in code order, to the frozenset of n-tuples ȳ that
+    fail eq. 3.1 with it, under the cap on kⁿ: each x̄ is keyed once and
+    each distinct key walked once. The failing pairs among all k²ⁿ are
+    the sum of the set sizes; a pair (x̄, ȳ) fails iff ȳ is in x̄'s set."""
     pw.check_degree(lt.owner.k, n, cap)
     tuples = itertools.product(range(lt.owner.k), repeat=n)
-    keys = collections.Counter(eq_3_1_key(lt, xbar) for xbar in tuples)
-    return sum(count * len(_eq_3_1_failing(lt, key, n)) for key, count in keys.items())
-
-
-def eq_3_1_sampled_failures(
-    lt: LambdaTable, pairs, cap: int = pw.DEFAULT_POWER_CAP
-) -> int:
-    """The number of pairs (x̄, ȳ) of tuples in ``pairs`` that fail
-    eq. 3.1. Each distinct x̄ is keyed once, and each distinct (key, n)
-    walked once, under the cap on kⁿ of ``eq_3_1_failures``. The walk is
-    keyed on n too: in a brace λ₀ is the identity, so (a, b) and
-    (0, a, b) share a key. Each x̄ must be a tuple, as it is a dict
-    key; each ȳ may be any sequence."""
-    k = lt.owner.k
-    by_x = {}     # x̄ -> the ȳ that fail with it
-    by_key = {}   # (key, n) -> the same frozenset
-    failures = 0
-    for xbar, ybar in pairs:
-        if len(ybar) != len(xbar):
-            raise ValueError("tuples must have equal length")
-        failing = by_x.get(xbar)
-        if failing is None:
-            walk = eq_3_1_key(lt, xbar), len(xbar)
-            failing = by_key.get(walk)
-            if failing is None:
-                pw.check_degree(k, len(xbar), cap)
-                failing = by_key[walk] = _eq_3_1_failing(lt, *walk)
-            by_x[xbar] = failing
-        pw.check_tuple(k, ybar)
-        failures += tuple(ybar) in failing
-    return failures
+    keys = {xbar: eq_3_1_key(lt, xbar) for xbar in tuples}
+    walks = {key: _eq_3_1_failing(lt, key, n) for key in set(keys.values())}
+    return {xbar: walks[key] for xbar, key in keys.items()}
 
 
 def _abelian_tables(k: int):

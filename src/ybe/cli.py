@@ -177,20 +177,20 @@ def cmd_brace_eq31_check(args):
         raise ParseError(f"tuple length must be at least 2, got {n}")
     if args.samples < 0:
         raise ParseError(f"sample count must not be negative, got {args.samples}")
-    pw.check_degree(b.k, n, args.cap)
+    # checks kⁿ ≤ cap first, so past both caps the degree is reported
+    table = br.eq_3_1_failing_sets(br.lambda_table(b), n, cap=args.cap)
     if args.samples > args.cap**2:
         # the exhaustive mode checks at most (kⁿ)² ≤ cap² pairs
         raise SizeCapExceeded(f"sample count {args.samples} exceeds cap² = {args.cap**2}")
-    lt = br.lambda_table(b)
     if args.samples == 0:
-        failures = br.eq_3_1_failures(lt, n, cap=args.cap)
+        failures = sum(map(len, table.values()))
         print(f"checked all {b.k ** (2 * n)} tuple pairs (n={n})")
     else:
         rng = random.Random(args.seed)
         # n draws a tuple and x̄ is drawn before ȳ, with no Python frame per tuple
         tuples = zip(*[map(rng.randrange, itertools.repeat(b.k))] * n)
         pairs = itertools.islice(zip(tuples, tuples), args.samples)
-        failures = br.eq_3_1_sampled_failures(lt, pairs, cap=args.cap)
+        failures = sum(ybar in table[xbar] for xbar, ybar in pairs)
         print(f"checked {args.samples} sampled tuple pairs (n={n}, seed={args.seed})")
     print(f"failures: {failures}")
     return EXIT_OK if failures == 0 else EXIT_PROPERTY

@@ -163,16 +163,6 @@ def power_solution(s: Solution, n: int, cap: int = DEFAULT_POWER_CAP) -> PowerSo
     return PowerSolution(s, n, sol.from_sigma(sigma), products)
 
 
-def power_solution_n2_direct(s: Solution, x1, x2, y1, y2) -> tuple[int, int]:
-    """Closed n=2 formula:
-    (σ_{x₁}σ_{x₂}(y₁), σ⁻¹_{σ_{x₁}σ_{x₂}(y₁)} σ_{x₁}σ_{x₂}σ_{y₁}(y₂))."""
-    check_tuple(s.m, (x1, x2, y1, y2))
-    prod = pm.compose(s.sigma[x1], s.sigma[x2])
-    first = prod[y1]
-    second = pm.inverse(s.sigma[first])[prod[s.sigma[y1][y2]]]
-    return first, second
-
-
 def power_perm_group(ps: PowerSolution):
     """(|A|, |B|, isomorphic): A the permutation group of the power
     solution, B the subgroup of Sym_m generated by all products

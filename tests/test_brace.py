@@ -254,33 +254,38 @@ class TestEq31:
         assert counts == [0, 32, 0, 72, 0, 72]
 
     def test_keyed_count_equals_per_pair_sum(self):
-        # the keyed count against the per-pair oracle, on every brace of
-        # order ≤ 6 and on the swapped-λ mutants, which are no braces
+        # the table against the per-pair oracle, on every brace of order
+        # ≤ 6 and on the swapped-λ mutants, which are no braces: each x̄,
+        # in code order, maps to exactly the ȳ that fail with it, so the
+        # exhaustive count, the sum of the set sizes, is the per-pair sum
         braces = [br.lambda_table(b) for k in range(1, 7) for b in br.find_braces(k)]
         mutants = list(swapped_lambda_tables())
         for n in (2, 3):
             for lt in braces + mutants:
                 tuples = list(itertools.product(range(lt.owner.k), repeat=n))
-                expected = sum(
-                    not br.check_eq_3_1(lt, xbar, ybar) for xbar in tuples for ybar in tuples
-                )
-                assert br.eq_3_1_failures(lt, n) == expected
-        assert [br.eq_3_1_failures(lt, 2) for lt in mutants] == [0, 32, 0, 72, 0, 72]
+                expected = {
+                    xbar: {ybar for ybar in tuples if not br.check_eq_3_1(lt, xbar, ybar)}
+                    for xbar in tuples
+                }
+                table = br.eq_3_1_failing_sets(lt, n)
+                assert list(table) == tuples
+                assert table == expected, (lt.owner.k, n)
+        counts = [sum(map(len, br.eq_3_1_failing_sets(lt, 2).values())) for lt in mutants]
+        assert counts == [0, 32, 0, 72, 0, 72]
 
     def test_sampled_count_equals_per_pair_sum(self):
+        # the sampled count, one table lookup per pair
         rng = random.Random(3)
         total = 0
         for n in (2, 3):
             for lt in swapped_lambda_tables():
+                table = br.eq_3_1_failing_sets(lt, n)
                 pairs = [
                     tuple(tuple(rng.randrange(4) for _ in range(n)) for _ in range(2))
                     for _ in range(500)
                 ]
                 expected = sum(not br.check_eq_3_1(lt, xbar, ybar) for xbar, ybar in pairs)
-                assert br.eq_3_1_sampled_failures(lt, pairs) == expected
-                # ȳ may be any sequence, as in check_eq_3_1
-                listed = [(xbar, list(ybar)) for xbar, ybar in pairs]
-                assert br.eq_3_1_sampled_failures(lt, listed) == expected
+                assert sum(ybar in table[xbar] for xbar, ybar in pairs) == expected
                 total += expected
         assert total > 0
 
@@ -302,22 +307,8 @@ class TestEq31:
                     expected = {ybar for ybar in tuples if not br.check_eq_3_1(lt, xbar, ybar)}
                     assert br._eq_3_1_failing(lt, key, n) == expected, (k, n, xbar)
         lt = non_commuting_lambda_table()
-        assert [br.eq_3_1_failures(lt, n) for n in (2, 3)] == [144, 3359]
-
-    def test_sampled_keys_the_walk_on_n(self):
-        # λ₀ is the identity, so (a, b) and (0, a, b) share a key but not
-        # a failing set: one stream mixes both lengths, each order
-        lt = list(swapped_lambda_tables())[3]
-        tuples = list(itertools.product(range(4), repeat=3))
-        xbar, ybar = next(
-            (x, y) for x in tuples if x[0] == 0 for y in tuples if not br.check_eq_3_1(lt, x, y)
-        )
-        assert br.eq_3_1_key(lt, xbar) == br.eq_3_1_key(lt, xbar[1:])
-        short = [(xbar[1:], y[1:]) for y in tuples[:16]]
-        for pairs in (short + [(xbar, ybar)], [(xbar, ybar)] + short):
-            expected = sum(not br.check_eq_3_1(lt, x, y) for x, y in pairs)
-            assert br.eq_3_1_sampled_failures(lt, pairs) == expected
-            assert expected > 0
+        counts = [sum(map(len, br.eq_3_1_failing_sets(lt, n).values())) for n in (2, 3)]
+        assert counts == [144, 3359]
 
     def test_length_mismatch(self, brace_z4):
         lt = br.lambda_table(brace_z4)
@@ -325,8 +316,6 @@ class TestEq31:
             br.check_eq_3_1(lt, (0, 1), (0, 1, 2))
         with pytest.raises(ValueError):
             br.check_eq_3_1(lt, (), ())
-        with pytest.raises(ValueError):
-            br.eq_3_1_sampled_failures(lt, [((0, 1), (0, 1)), ((0, 1), (0, 1, 2))])
 
     def test_out_of_range(self, brace_z4):
         lt = br.lambda_table(brace_z4)
@@ -344,22 +333,16 @@ class TestEq31:
             br.eq_3_1_key(lt, (0, 4))
         with pytest.raises(ValueError):
             br.eq_3_1_key(lt, (0, -1))
-        with pytest.raises(ValueError):
-            br.eq_3_1_sampled_failures(lt, [((0, 1), (0, 4))])
-        with pytest.raises(ValueError):
-            br.eq_3_1_sampled_failures(lt, [((0, 1), (-1, 0))])
 
     def test_cap(self, brace_z4):
-        # 4⁷ tuples exceed the default cap of 4096; both modes walk kⁿ
-        # tuples ȳ per key, under the same cap
+        # the table keys and walks kⁿ tuples: 4⁷ exceeds the default cap
+        # of 4096, and 4³ = 64 needs a cap of at least 64
         lt = br.lambda_table(brace_z4)
         with pytest.raises(SizeCapExceeded):
-            br.eq_3_1_failures(lt, 7)
+            br.eq_3_1_failing_sets(lt, 7)
         with pytest.raises(SizeCapExceeded):
-            br.eq_3_1_sampled_failures(lt, [((0,) * 7, (0,) * 7)])
-        with pytest.raises(SizeCapExceeded):
-            br.eq_3_1_sampled_failures(lt, [((1, 2, 3), (0, 0, 0))], cap=63)
-        assert br.eq_3_1_sampled_failures(lt, [((1, 2, 3), (0, 0, 0))], cap=64) == 0
+            br.eq_3_1_failing_sets(lt, 3, cap=63)
+        assert sum(map(len, br.eq_3_1_failing_sets(lt, 3, cap=64).values())) == 0
 
 
 class TestFindBraces:

@@ -314,6 +314,14 @@ class TestPower:
             "brace", "eq31-check", brace_z4_file, "--n", "7", "--samples", "5",
         ) == (0, "checked 5 sampled tuple pairs (n=7, seed=0)\nfailures: 0\n", "")
 
+    def test_eq31_degree_reported_before_sample_count(self, capsys, brace_z4_file):
+        # past both caps (kⁿ = 16 > 3 and 10 samples > 3²) eq31-check
+        # reports the degree, which the failing-set table checks first
+        assert run(
+            capsys, "--cap", "3", "brace", "eq31-check", brace_z4_file,
+            "--n", "2", "--samples", "10",
+        ) == (3, "", "error: degree 4^2 exceeds cap 3\n")
+
     def test_length_below_two_is_usage_error(self, capsys, swap2_file, brace_z4_file):
         assert run(capsys, "power", swap2_file, "1") == (
             2, "", "error: exponent must be at least 2, got 1\n"
@@ -516,14 +524,20 @@ class TestBraceCommands:
         assert "failures: 0" in out
 
     def test_eq31_sample_stream(self, capsys, monkeypatch, brace_z4_file):
-        # the pairs are drawn as n randrange(k) calls per tuple, x̄ then ȳ
+        # the pairs are drawn as n randrange(k) calls per tuple, x̄ then ȳ:
+        # a recording table sees each x̄ looked up, then its ȳ tested
         drawn = []
 
-        def record(lt, pairs, cap):
-            drawn.extend(pairs)
-            return 0
+        class Recording:
+            def __getitem__(self, xbar):
+                drawn.append(xbar)
+                return self
 
-        monkeypatch.setattr(br, "eq_3_1_sampled_failures", record)
+            def __contains__(self, ybar):
+                drawn[-1] = (drawn[-1], ybar)
+                return False
+
+        monkeypatch.setattr(br, "eq_3_1_failing_sets", lambda lt, n, cap: Recording())
         code, _, _ = run(
             capsys, "brace", "eq31-check", brace_z4_file,
             "--n", "3", "--samples", "100", "--seed", "42",

@@ -110,31 +110,26 @@ def test_group_order_is_the_closure_order(gens):
     assert pm.group_order(gens) == pm.close_group(gens).order
 
 
-@st.composite
-def tuple_pairs(draw):
-    """A pair (x̄, ȳ) of n-tuples over {0,...,3}, n from 1 to 3."""
-    point = st.integers(0, 3)
-    n = draw(st.integers(1, 3))
-    return draw(st.tuples(st.tuples(*[point] * n), st.tuples(*[point] * n)))
-
-
 @fuzz
 @given(st.data())
 def test_eq_3_1_counts_on_random_lambda_rows(data):
     # four permutation rows of degree 4 as λ over an order-4 brace: no
-    # brace identity holds, and both counts must equal the per-pair sums.
-    # The λ-rows of the braces of order ≤ 6 commute; rows like these also
-    # tell apart the orders of the compositions the walk carries
+    # brace identity holds, and both counts off the table must equal the
+    # per-pair sums. The λ-rows of the braces of order ≤ 6 commute; rows
+    # like these also tell apart the orders of the compositions the walk
+    # carries
     b = data.draw(st.sampled_from([b for b in BRACES if b.k == 4]))
     rows = tuple(tuple(data.draw(st.permutations(range(4)))) for _ in range(4))
     lt = br.LambdaTable(owner=b, table=rows, inverses=tuple(map(pm.inverse, rows)))
     n = data.draw(st.integers(1, 3))
+    table = br.eq_3_1_failing_sets(lt, n)
     tuples = list(itertools.product(range(4), repeat=n))
     expected = sum(not br.check_eq_3_1(lt, x, y) for x in tuples for y in tuples)
-    assert br.eq_3_1_failures(lt, n) == expected
-    pairs = data.draw(st.lists(tuple_pairs(), max_size=40))
+    assert sum(map(len, table.values())) == expected
+    ntuple = st.tuples(*[st.integers(0, 3)] * n)
+    pairs = data.draw(st.lists(st.tuples(ntuple, ntuple), max_size=40))
     expected = sum(not br.check_eq_3_1(lt, x, y) for x, y in pairs)
-    assert br.eq_3_1_sampled_failures(lt, pairs) == expected
+    assert sum(y in table[x] for x, y in pairs) == expected
 
 
 def exit_code(argv):

@@ -8,6 +8,8 @@ from ybe import power as pw
 from ybe import solution as sol
 from ybe.errors import SizeCapExceeded
 
+from oracles import braid_words, power_solution_n2_direct
+
 
 class TestPsiApply:
     def test_identity_sigma_gives_diagonal_action(self):
@@ -196,11 +198,11 @@ class TestPowerSolution:
 class TestN2Direct:
     def test_trivial(self):
         s = sol.trivial(3)
-        assert pw.power_solution_n2_direct(s, 0, 1, 2, 1) == (2, 1)
+        assert power_solution_n2_direct(s, 0, 1, 2, 1) == (2, 1)
 
     def test_swap(self, swap2):
         for x1, x2, y1, y2 in itertools.product(range(2), repeat=4):
-            assert pw.power_solution_n2_direct(swap2, x1, x2, y1, y2) == (y1, y2)
+            assert power_solution_n2_direct(swap2, x1, x2, y1, y2) == (y1, y2)
 
     def test_agrees_with_f_map(self, corpus):
         # (y₁, y₂) has code y₁·m + y₂: lex order, y₁ most significant
@@ -208,14 +210,53 @@ class TestN2Direct:
             for x1, x2 in itertools.product(range(s.m), repeat=2):
                 f = pw.f_map(s, (x1, x2), 2)
                 for y1, y2 in itertools.product(range(s.m), repeat=2):
-                    z1, z2 = pw.power_solution_n2_direct(s, x1, x2, y1, y2)
+                    z1, z2 = power_solution_n2_direct(s, x1, x2, y1, y2)
                     assert z1 * s.m + z2 == f[y1 * s.m + y2]
 
     def test_out_of_range(self, swap2):
         with pytest.raises(ValueError):
-            pw.power_solution_n2_direct(swap2, 0, 0, 0, 2)
+            power_solution_n2_direct(swap2, 0, 0, 0, 2)
         with pytest.raises(ValueError):
-            pw.power_solution_n2_direct(swap2, 0, -1, 0, 0)
+            power_solution_n2_direct(swap2, 0, -1, 0, 0)
+
+
+class TestBraidedWords:
+    def test_braid_by_hand(self, swap2):
+        # on the swap solution r(x, y) = (1 − y, 1 − x): four moves flip
+        # every letter twice and exchange the words
+        assert braid_words(swap2, (0, 0), (0, 1)) == ((0, 1), (0, 0))
+        assert braid_words(sol.trivial(3), (0, 1), (2, 1)) == ((2, 1), (0, 1))
+
+    def test_power_is_the_braiding_of_words(self, corpus):
+        # r⁽ⁿ⁾(x̄, ȳ), σ-part and derived γ-part, is x̄ braided past ȳ by
+        # n² moves of r: every m ≤ 3 solution at n = 2, 3, every m = 4
+        # solution at n = 2, and at n = 3 the m = 4 solutions whose σ-rows
+        # do not commute, the first to tell apart the order in which the
+        # h-recursion applies σ⁻¹_{h₁}, σ⁻¹_{h₂}
+        four = sol.enumerate_solutions(4)
+        cases = [(s, n) for s in corpus for n in (2, 3)] + [(s, 2) for s in four]
+        cases += [
+            (s, 3)
+            for s in four
+            if any(pm.compose(a, b) != pm.compose(b, a) for a in s.sigma for b in s.sigma)
+        ]
+        for s, n in cases:
+            ps = pw.power_solution(s, n).result
+            codes = {t: c for c, t in enumerate(itertools.product(range(s.m), repeat=n))}
+            for (xbar, cx), (ybar, cy) in itertools.product(codes.items(), repeat=2):
+                u, v = braid_words(s, xbar, ybar)
+                assert sol.r_apply(ps, cx, cy) == (codes[u], codes[v]), (s.sigma, xbar, ybar)
+
+    def test_powers_compose(self, corpus):
+        # (Xᵃ)ᵇ = X^{ab} as σ-tables: a b-tuple of codes of a-tuples has
+        # the code of their concatenation, both lex with the first most
+        # significant
+        cases = [(s, 2, 2) for s in corpus]
+        cases += [(s, a, b) for s in corpus if s.m <= 2 for a, b in ((2, 3), (3, 2))]
+        for s, a, b in cases:
+            nested = pw.power_solution(pw.power_solution(s, a).result, b).result
+            assert nested.sigma == pw.power_solution(s, a * b).result.sigma, (s.sigma, a, b)
+        assert len(cases) == 21
 
 
 class TestPowerPermGroup:

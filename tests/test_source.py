@@ -19,7 +19,6 @@ ORACLES = {
     "psi_apply",
     "psi_perm",
     "f_map",
-    "power_solution_n2_direct",
     "check_eq_3_1",
 }
 
@@ -107,6 +106,39 @@ def test_cli_reads_solutions_only_through_parse_solution():
     # so none parses the raw σ-table and builds the solution itself
     found = {top for top, name in references(SRC / "cli.py") if name == "parse_sigma_table"}
     assert found == set()
+
+
+def test_test_oracles_stay_in_tests():
+    # the oracles of tests/oracles.py have no copy in the package
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    names = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found = {
+        (path.name, top)
+        for path in sorted(SRC.glob("*.py"))
+        for top, name in references(path)
+        if name in names
+    }
+    assert names and found == set()
+
+
+def test_only_power_checks_the_degree_in_cli():
+    # brace eq31-check leaves its degree cap to brace.eq_3_1_failing_sets,
+    # so only cmd_power, which checks before building, calls check_degree
+    found = {top for top, name in references(SRC / "cli.py") if name == "check_degree"}
+    assert found == {"cmd_power"}
+
+
+def test_one_eq_3_1_table():
+    # both eq31-check modes read the one failing-set table; the prefix
+    # walk has no other caller
+    walk = "_eq_3_1_failing"
+    found = {
+        (path.name, top)
+        for path in sorted(SRC.glob("*.py"))
+        for top, name in references(path)
+        if name == walk and top != walk
+    }
+    assert found == {("brace.py", "eq_3_1_failing_sets")}
 
 
 def test_only_permgroup_lists_a_group():
