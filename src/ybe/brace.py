@@ -44,13 +44,6 @@ class Brace:
         """a − b in the additive group."""
         return self.add[a][self.neg[b]]
 
-    def mul_many(self, elems) -> int:
-        """Product of a sequence in the multiplicative group (empty = 0)."""
-        acc = 0
-        for e in elems:
-            acc = self.mul[acc][e]
-        return acc
-
 
 @dataclass(frozen=True)
 class LambdaTable:
@@ -179,25 +172,21 @@ def associated_solution(b: Brace) -> Solution:
     return sol.from_sigma(lambda_table(b).table)
 
 
-def eq_3_1_key(lt: LambdaTable, xbar):
-    """All that the eq. 3.1 check reads of x̄: the λ-product
-    λ_{x₁}⋯λ_{xₙ} and the group product x₁⋯xₙ. Pairs whose x̄ share a
-    key share a verdict for every ȳ; no brace identity is assumed."""
-    pw.check_tuple(lt.owner.k, xbar)
-    return pw._sigma_product(lt.table, xbar), lt.owner.mul_many(xbar)
-
-
 def check_eq_3_1(lt: LambdaTable, xbar, ybar) -> bool:
     """Inside the multiplicative group of the brace ``lt.owner``, with
     σ = λ over the whole brace: the product h₁⋯h_j must equal
     λ_{x₁⋯xₙ}(y₁⋯y_j) for every j. By cancellation that makes each h_j
     (j ≥ 2) the quotient λ_{x₁⋯xₙ}(y₁⋯y_{j-1})⁻¹ · λ_{x₁⋯xₙ}(y₁⋯y_j).
-    The per-pair oracle of ``_eq_3_1_failing``: h̄ is ψ(λ_{x₁}⋯λ_{xₙ})(ȳ)
-    by ``power.psi_apply``, the oracle of the power rows too."""
+    The per-pair oracle of ``eq_3_1_failing_sets``: it folds x̄ into
+    λ_{x₁}⋯λ_{xₙ} and x₁⋯xₙ itself, and takes h̄ = ψ(λ_{x₁}⋯λ_{xₙ})(ȳ)
+    from ``power.psi_apply``, the oracle of the power rows, not from the
+    h-recursion."""
     if len(ybar) != len(xbar):
         raise ValueError("tuples must have equal length")
-    lam_x, big_x = eq_3_1_key(lt, xbar)
     b, lam = lt.owner, lt.table
+    pw.check_tuple(b.k, xbar)
+    lam_x = functools.reduce(pm.compose, [lam[x] for x in xbar])
+    big_x = functools.reduce(lambda acc, x: b.mul[acc][x], xbar, 0)
     h = pw.psi_apply(lam, lam_x, ybar)
     y_prod = h_prod = 0   # y₁⋯y_j and h₁⋯h_j
     for y, hj in zip(ybar, h):
@@ -208,45 +197,28 @@ def check_eq_3_1(lt: LambdaTable, xbar, ybar) -> bool:
     return True
 
 
-def _eq_3_1_failing(lt: LambdaTable, key, n: int) -> frozenset:
-    """The n-tuples ȳ that fail eq. 3.1 with any x̄ of this key, by one
-    walk over the prefixes of ȳ. h_j and the j-th product test read only
-    y₁…y_j, so a failing prefix fails all of its extensions. A prefix
-    carries g = λ⁻¹_{h_j}∘⋯∘λ⁻¹_{h₁}∘λ_x̄∘λ_{y₁}∘⋯∘λ_{y_j}, which gives
-    h_{j+1} = g(y_{j+1}), and the products y₁⋯y_j and h₁⋯h_j. The stack
-    is explicit, so no n reaches the recursion limit."""
-    lam_x, big_x = key
-    lam, inv, mul = lt.table, lt.inverses, lt.owner.mul
-    target = lam[big_x]
-    elems = range(lt.owner.k)
-    failing = []
-    stack = [((), lam_x, 0, 0)]   # (prefix, g, y₁⋯y_j, h₁⋯h_j)
-    while stack:
-        prefix, g, y_prod, h_prod = stack.pop()
-        for y in elems:
-            h = g[y]
-            ybar = prefix + (y,)
-            y_next, h_next = mul[y_prod][y], mul[h_prod][h]
-            if target[y_next] != h_next:
-                rest = itertools.product(elems, repeat=n - len(ybar))
-                failing.extend(ybar + tail for tail in rest)
-            elif len(ybar) < n:
-                inv_h = inv[h]
-                g_next = tuple([inv_h[g[v]] for v in lam[y]])
-                stack.append((ybar, g_next, y_next, h_next))
-    return frozenset(failing)
-
-
 def eq_3_1_failing_sets(lt: LambdaTable, n: int, cap: int = pw.DEFAULT_POWER_CAP) -> dict:
     """Each n-tuple x̄, in code order, to the frozenset of n-tuples ȳ that
-    fail eq. 3.1 with it, under the cap on kⁿ: each x̄ is keyed once and
-    each distinct key walked once. The failing pairs among all k²ⁿ are
-    the sum of the set sizes; a pair (x̄, ȳ) fails iff ȳ is in x̄'s set."""
-    pw.check_degree(lt.owner.k, n, cap)
-    tuples = itertools.product(range(lt.owner.k), repeat=n)
-    keys = {xbar: eq_3_1_key(lt, xbar) for xbar in tuples}
-    walks = {key: _eq_3_1_failing(lt, key, n) for key in set(keys.values())}
-    return {xbar: walks[key] for xbar, key in keys.items()}
+    fail eq. 3.1 with it, under the cap on kⁿ. x̄ is read only through its
+    key (λ_{x₁}⋯λ_{xₙ}, x₁⋯xₙ), both from ``power._products`` (x₁⋯xₙ as
+    the product of the rows of ``mul`` at 0). Each distinct key reads h̄
+    off the power row of λ_{x₁}⋯λ_{xₙ} (``power._f_row``), and ȳ fails
+    when the prefix products of h̄ differ from λ_{x₁⋯xₙ} of those of ȳ."""
+    b = lt.owner
+    pw.check_degree(b.k, n, cap)
+    codes = pw._codes(b.k, n)
+    prefixes = [tuple(itertools.accumulate(t, lambda p, y: b.mul[p][y])) for t in codes]
+    keys = list(zip(pw._products(lt.table, n), [p[0] for p in pw._products(b.mul, n)]))
+    failing = {}
+    for lam_x, big_x in dict.fromkeys(keys):
+        target = lt.table[big_x]
+        row = pw._f_row(lt.table, lt.inverses, lam_x, codes)
+        failing[lam_x, big_x] = frozenset(
+            ybar
+            for ybar, ys, h in zip(codes, prefixes, row)
+            if prefixes[h] != tuple([target[v] for v in ys])
+        )
+    return {xbar: failing[key] for xbar, key in zip(codes, keys)}
 
 
 def _abelian_tables(k: int):

@@ -2,9 +2,10 @@
 
 The σ-maps of the power solution are the maps f_x̄ given by a recursion
 in h_1, ..., h_n; they coincide with the image of the product
-σ_{x₁}⋯σ_{xₙ} under an embedding ψ: Sym_X → Sym_{Xⁿ}. power_solution and
-f_map build rows by the recursion; the ψ route is an independent code
-path, cross-checked in tests and never used to build the table.
+σ_{x₁}⋯σ_{xₙ} under an embedding ψ: Sym_X → Sym_{Xⁿ}. ``_f_row`` runs
+the package's one copy of the recursion and ``_products`` builds the
+products; the ψ route is an independent code path, cross-checked in
+tests and never used to build the table.
 
 Xⁿ is identified with {0,...,mⁿ-1} in one place, ``_codes``: lex order
 with x₁ most significant. Every n-tuple passed in is checked by
@@ -14,6 +15,7 @@ with x₁ most significant. Every n-tuple passed in is checked by
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -41,7 +43,7 @@ class PowerSolution:
     base: Solution
     n: int
     result: Solution  # row c is f_x̄ for x̄ the tuple with code c in _codes
-    products: tuple[Perm, ...]  # entry c is σ_{x₁}⋯σ_{xₙ} for the same x̄
+    products: tuple[Perm, ...]  # entry c is σ_{x₁}⋯σ_{xₙ} for the same x̄, by _products
 
 
 def check_degree(m: int, n: int, cap: int) -> None:
@@ -102,19 +104,11 @@ def psi_perm(sigma_table, tau: Perm, n: int, cap: int = DEFAULT_POWER_CAP) -> Pe
     return tuple(codes[psi_apply(sigma_table, tau, ybar)] for ybar in codes)
 
 
-def _sigma_product(sigma, xbar) -> Perm:
-    """σ_{x₁}∘σ_{x₂}∘⋯∘σ_{xₙ} (rightmost acts first)."""
-    prod = sigma[xbar[0]]
-    for x in xbar[1:]:
-        prod = pm.compose(prod, sigma[x])
-    return prod
-
-
 def _f_tuple(sigma, inv, sig_x, ybar) -> tuple[int, ...]:
-    """f_x̄(ȳ) via the h_j recursion (independent of psi_apply), the
-    row build of ``power_solution`` and ``f_map``. ``inv`` holds the
-    inverses of the σ-rows and ``sig_x`` the product σ_{x₁}⋯σ_{xₙ}, both
-    built once per x̄ by the caller."""
+    """f_x̄(ȳ) = (h₁,…,hₙ) via the h_j recursion (independent of
+    psi_apply), run only by ``_f_row``. ``inv`` holds the inverses of the
+    σ-rows and ``sig_x`` the product σ_{x₁}⋯σ_{xₙ}, both built once per
+    x̄ by the caller."""
     h = [sig_x[ybar[0]]]
     for j in range(1, len(ybar)):
         # v = σ_{y_1}⋯σ_{y_{j-1}}(y_j), then the x-product, then the
@@ -141,6 +135,17 @@ def _f_row(sigma, inv, sig_x, codes) -> Perm:
     return tuple(codes[_f_tuple(sigma, inv, sig_x, ybar)] for ybar in codes)
 
 
+def _products(rows, n: int) -> tuple[Perm, ...]:
+    """All mⁿ products rows[x₁]∘⋯∘rows[xₙ], in code order: each is its
+    prefix's product composed on the right with one row, as in
+    ``perm.close_group``."""
+    steps = [pm._right_multiplier(row) for row in rows]
+    products = tuple(rows)
+    for _ in range(n - 1):
+        products = tuple([step(p) for p in products for step in steps])
+    return products
+
+
 def f_map(s: Solution, xbar, n: int, cap: int = DEFAULT_POWER_CAP) -> Perm:
     """The permutation f_x̄ of degree mⁿ, from the h_j recursion."""
     if len(xbar) != n:
@@ -148,17 +153,18 @@ def f_map(s: Solution, xbar, n: int, cap: int = DEFAULT_POWER_CAP) -> Perm:
     check_tuple(s.m, xbar)
     check_degree(s.m, n, cap)
     inv = [pm.inverse(p) for p in s.sigma]
-    return _f_row(s.sigma, inv, _sigma_product(s.sigma, xbar), _codes(s.m, n))
+    product = functools.reduce(pm.compose, [s.sigma[x] for x in xbar])
+    return _f_row(s.sigma, inv, product, _codes(s.m, n))
 
 
 def power_solution(s: Solution, n: int, cap: int = DEFAULT_POWER_CAP) -> PowerSolution:
-    """Build (Xⁿ, r⁽ⁿ⁾) with σ-table {f_x̄}, fully verified; each x-product once."""
+    """Build (Xⁿ, r⁽ⁿ⁾) with σ-table {f_x̄}, fully verified; x-products by ``_products``."""
     if n < 2:
         raise ValueError("exponent must be at least 2")
     check_degree(s.m, n, cap)
     codes = _codes(s.m, n)
     inv = [pm.inverse(p) for p in s.sigma]
-    products = tuple(_sigma_product(s.sigma, xbar) for xbar in codes)
+    products = _products(s.sigma, n)
     sigma = tuple(_f_row(s.sigma, inv, p, codes) for p in products)
     return PowerSolution(s, n, sol.from_sigma(sigma), products)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import random
 import re
@@ -71,6 +72,13 @@ def non_commuting_lambda_table():
     return br.LambdaTable(
         owner=br.find_braces(4)[0], table=rows, inverses=tuple(pm.inverse(p) for p in rows)
     )
+
+
+def eq_3_1_key(lt, xbar):
+    """All that eq. 3.1 reads of x̄: (λ_{x₁}⋯λ_{xₙ}, x₁⋯xₙ), each folded
+    left; pairs whose x̄ share it share a verdict for every ȳ."""
+    lam_x = functools.reduce(pm.compose, [lt.table[x] for x in xbar])
+    return lam_x, functools.reduce(lambda acc, x: lt.owner.mul[acc][x], xbar, 0)
 
 
 class TestBraceFromTables:
@@ -290,10 +298,10 @@ class TestEq31:
         assert total > 0
 
     def test_walk_equals_per_pair_oracle(self):
-        # the failing set of each key, from one prefix walk, against the
-        # per-pair check of one x̄ with that key, on every brace of order
-        # ≤ 6 and on the swapped-λ and non-commuting mutants, which are
-        # no braces; only the last tells apart the order of compositions
+        # the failing set of the first x̄ of each key, read off one power
+        # row per key, against the per-pair check, on every brace of
+        # order ≤ 6 and on the swapped-λ and non-commuting mutants, which
+        # are no braces; only the last tells apart the order of compositions
         braces = [br.lambda_table(b) for k in range(1, 7) for b in br.find_braces(k)]
         mutants = list(swapped_lambda_tables()) + [non_commuting_lambda_table()]
         for lt in braces + mutants:
@@ -302,10 +310,11 @@ class TestEq31:
                 tuples = list(itertools.product(range(k), repeat=n))
                 firsts = {}  # key -> the first x̄ with it
                 for xbar in tuples:
-                    firsts.setdefault(br.eq_3_1_key(lt, xbar), xbar)
-                for key, xbar in firsts.items():
+                    firsts.setdefault(eq_3_1_key(lt, xbar), xbar)
+                table = br.eq_3_1_failing_sets(lt, n)
+                for xbar in firsts.values():
                     expected = {ybar for ybar in tuples if not br.check_eq_3_1(lt, xbar, ybar)}
-                    assert br._eq_3_1_failing(lt, key, n) == expected, (k, n, xbar)
+                    assert table[xbar] == expected, (k, n, xbar)
         lt = non_commuting_lambda_table()
         counts = [sum(map(len, br.eq_3_1_failing_sets(lt, n).values())) for n in (2, 3)]
         assert counts == [144, 3359]
@@ -327,15 +336,9 @@ class TestEq31:
             br.check_eq_3_1(lt, (-1, 0), (0, 0))
         with pytest.raises(ValueError):
             br.check_eq_3_1(lt, (0, 0), (0, -1))
-        with pytest.raises(ValueError):
-            br.eq_3_1_key(lt, ())
-        with pytest.raises(ValueError):
-            br.eq_3_1_key(lt, (0, 4))
-        with pytest.raises(ValueError):
-            br.eq_3_1_key(lt, (0, -1))
 
     def test_cap(self, brace_z4):
-        # the table keys and walks kⁿ tuples: 4⁷ exceeds the default cap
+        # the table keys and checks kⁿ tuples: 4⁷ exceeds the default cap
         # of 4096, and 4³ = 64 needs a cap of at least 64
         lt = br.lambda_table(brace_z4)
         with pytest.raises(SizeCapExceeded):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import os
 import random
@@ -87,6 +88,17 @@ def brace_z4_file(tmp_path, brace_z4):
     p = tmp_path / "brace_z4.txt"
     p.write_text(files.emit_brace(brace_z4))
     return str(p)
+
+
+# sha256 of the stdout of `ybe brace eq31-check` on each brace that
+# find_braces(1…6) returns, in order, joined, at each (n, samples); with
+# samples, the seed is 0
+EQ31_CHECK_SHA256 = {
+    (2, 0): "0bb4dcfad0960b8da24b00b9c5e30318881dba6ff1b9fb4b7cc6d1dcf54a32f0",
+    (2, 300): "527ef7bc2846f6d705af1958b3eec35d9c0ecb3076585052021943e447dce8ec",
+    (3, 0): "c15bfe7e12adecc58f6c7e5147cbea3e73854ddea663c347b6962c959460819f",
+    (3, 300): "8ec6dee9f33c8391d4cc1244d70246eab6627da1ee4372c5e851743da3d40fc8",
+}
 
 
 class TestVerify:
@@ -523,6 +535,25 @@ class TestBraceCommands:
         assert code == 0
         assert "failures: 0" in out
 
+    def test_eq31_frozen_output(self, capsys, tmp_path):
+        paths = []
+        for k in range(1, 7):
+            for i, b in enumerate(br.find_braces(k)):
+                path = tmp_path / f"brace{k}_{i}.txt"
+                path.write_text(files.emit_brace(b))
+                paths.append(str(path))
+        assert len(paths) == 12
+        for (n, samples), digest in EQ31_CHECK_SHA256.items():
+            outs = []
+            for path in paths:
+                code, out, err = run(
+                    capsys, "brace", "eq31-check", path,
+                    "--n", str(n), "--samples", str(samples), "--seed", "0",
+                )
+                assert (code, err) == (0, ""), (path, n, samples)
+                outs.append(out)
+            assert hashlib.sha256("".join(outs).encode()).hexdigest() == digest, (n, samples)
+
     def test_eq31_sample_stream(self, capsys, monkeypatch, brace_z4_file):
         # the pairs are drawn as n randrange(k) calls per tuple, x̄ then ȳ:
         # a recording table sees each x̄ looked up, then its ȳ tested
@@ -580,12 +611,13 @@ class TestSingleBuild:
             assert calls["lambda_table"] == braces
 
     def test_eq31_keys_each_x_product_once(self, capsys, monkeypatch, tmp_path):
-        # exhaustive n=3 on an order-6 brace: 216 x-products and at most
-        # 6 distinct keys, each checked against the 216 tuples ȳ, instead
-        # of one product and one recursion for each of the 216² pairs
+        # exhaustive n=3 on an order-6 brace: the 216 λ-products and group
+        # products come from one _products call each, and each of the at
+        # most 6 distinct keys reads its h̄ off one power row, instead of
+        # one product and one recursion for each of the 216² pairs
         p = tmp_path / "brace6.txt"
         p.write_text(files.emit_brace(br.find_braces(6)[-1]))
-        calls = {"_f_tuple": 0, "_sigma_product": 0}
+        calls = {"_products": 0, "_f_row": 0}
         for name in calls:
             def counted(*args, _real=getattr(pw, name), _name=name):
                 calls[_name] += 1
@@ -593,16 +625,15 @@ class TestSingleBuild:
             monkeypatch.setattr(pw, name, counted)
         code, out, _ = run(capsys, "brace", "eq31-check", str(p), "--n", "3")
         assert (code, out) == (0, "checked all 46656 tuple pairs (n=3)\nfailures: 0\n")
-        # each key's verdicts come from one prefix walk, no h-recursion
-        assert calls["_f_tuple"] == 0
-        assert calls["_sigma_product"] <= 216
-        calls.update(_f_tuple=0, _sigma_product=0)
+        assert calls["_products"] == 2
+        assert 1 <= calls["_f_row"] <= 6
+        calls.update(_products=0, _f_row=0)
         code, out, _ = run(
             capsys, "brace", "eq31-check", str(p), "--n", "3", "--samples", "2000"
         )
         assert (code, out) == (0, "checked 2000 sampled tuple pairs (n=3, seed=0)\nfailures: 0\n")
-        assert calls["_f_tuple"] == 0
-        assert calls["_sigma_product"] <= 216
+        assert calls["_products"] == 2
+        assert 1 <= calls["_f_row"] <= 6
 
 
 class TestMain:

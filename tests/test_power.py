@@ -1,8 +1,10 @@
 import dataclasses
+import functools
 import itertools
 
 import pytest
 
+from ybe import brace as br
 from ybe import perm as pm
 from ybe import power as pw
 from ybe import solution as sol
@@ -193,6 +195,25 @@ class TestPowerSolution:
             for n in (2, 3):
                 pw.power_solution(s, n)
         assert calls == []
+
+
+class TestProducts:
+    def test_code_order(self, corpus):
+        # entry c is the left compose fold over the c-th tuple of _codes,
+        # on every m ≤ 3 σ-table and on the λ- and mul-tables of the 12
+        # braces of order ≤ 6 (degree 1 included, where the right
+        # multiplier is ``tuple``)
+        braces = [b for k in range(1, 7) for b in br.find_braces(k)]
+        tables = [s.sigma for s in corpus]
+        tables += [t for b in braces for t in (br.lambda_table(b).table, b.mul)]
+        assert len(braces) == 12 and any(len(t) == 1 for t in tables)
+        for rows in tables:
+            for n in (1, 2, 3):
+                expected = [
+                    functools.reduce(pm.compose, [rows[x] for x in xbar])
+                    for xbar in pw._codes(len(rows), n)
+                ]
+                assert list(pw._products(rows, n)) == expected, (rows, n)
 
 
 class TestN2Direct:

@@ -128,17 +128,35 @@ def test_only_power_checks_the_degree_in_cli():
     assert found == {"cmd_power"}
 
 
-def test_one_eq_3_1_table():
-    # both eq31-check modes read the one failing-set table; the prefix
-    # walk has no other caller
-    walk = "_eq_3_1_failing"
-    found = {
-        (path.name, top)
-        for path in sorted(SRC.glob("*.py"))
-        for top, name in references(path)
-        if name == walk and top != walk
+def test_one_h_recursion():
+    # the h-recursion and the n-fold product builder have one copy each,
+    # defined in power.py (its self-pair) and shared by the power build
+    # and the eq. 3.1 table; the second walk and product builders they
+    # replaced stay deleted
+    users = {"_f_tuple": set(), "_f_row": set(), "_products": set()}
+    gone = {"_eq_3_1_failing", "_sigma_product", "mul_many", "eq_3_1_key"}
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top, name in references(path):
+            if name in users:
+                users[name].add((path.name, top))
+            elif name in gone:
+                found.add((path.name, top, name))
+    assert users == {
+        "_f_tuple": {("power.py", "_f_tuple"), ("power.py", "_f_row")},
+        "_f_row": {
+            ("power.py", "_f_row"),
+            ("power.py", "f_map"),
+            ("power.py", "power_solution"),
+            ("brace.py", "eq_3_1_failing_sets"),
+        },
+        "_products": {
+            ("power.py", "_products"),
+            ("power.py", "power_solution"),
+            ("brace.py", "eq_3_1_failing_sets"),
+        },
     }
-    assert found == {("brace.py", "eq_3_1_failing_sets")}
+    assert found == set()
 
 
 def test_only_permgroup_lists_a_group():
