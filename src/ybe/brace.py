@@ -48,8 +48,7 @@ class Brace:
 @dataclass(frozen=True)
 class LambdaTable:
     owner: Brace
-    table: tuple[Perm, ...]      # table[a] is λ_a
-    inverses: tuple[Perm, ...]   # inverses[a] is λ_a⁻¹
+    table: tuple[Perm, ...]   # table[a] is λ_a
 
 
 def _freeze_table(table, k, what):
@@ -67,8 +66,9 @@ def _freeze_table(table, k, what):
     return tuple(rows)
 
 
-def _group_inverses(table, k, what, commutative):
+def _group_inverses(table, what, commutative):
     """Validate a Cayley table as a group with identity 0; return inverses."""
+    k = len(table)
     for a in range(k):
         if table[a][0] != a or table[0][a] != a:
             raise AxiomError(f"{what}: 0 is not an identity", witness=(a,))
@@ -97,8 +97,8 @@ def brace_from_tables(add, mul) -> Brace:
         raise AxiomError("empty brace is not allowed")
     add = _freeze_table(add, k, "add")
     mul = _freeze_table(mul, k, "mul")
-    neg = _group_inverses(add, k, "add", commutative=True)
-    inv = _group_inverses(mul, k, "mul", commutative=False)
+    neg = _group_inverses(add, "add", commutative=True)
+    inv = _group_inverses(mul, "mul", commutative=False)
     for a in range(k):
         for b in range(k):
             for c in range(k):
@@ -125,9 +125,7 @@ def lambda_table(b: Brace) -> LambdaTable:
         if not pm.is_perm(row):
             raise AxiomError(f"lambda map of element {a} is not a bijection")
         rows.append(row)
-    return LambdaTable(
-        owner=b, table=tuple(rows), inverses=tuple(pm.inverse(p) for p in rows)
-    )
+    return LambdaTable(owner=b, table=tuple(rows))
 
 
 def check_lambda_properties(lam: LambdaTable) -> sol.VerifyReport:
@@ -135,7 +133,8 @@ def check_lambda_properties(lam: LambdaTable) -> sol.VerifyReport:
     ``lam.owner``, with ``lam = lambda_table(b)``; the report holds the
     first witness in lex order of each failed identity."""
     b = lam.owner
-    lt, lt_inv = lam.table, lam.inverses
+    lt = lam.table
+    lt_inv = [pm.inverse(p) for p in lt]
     elems = range(b.k)
     pairs = [(a, c) for a in elems for c in elems]
     witnesses = {
@@ -200,19 +199,20 @@ def check_eq_3_1(lt: LambdaTable, xbar, ybar) -> bool:
 def eq_3_1_failing_sets(lt: LambdaTable, n: int, cap: int = pw.DEFAULT_POWER_CAP) -> dict:
     """Each n-tuple x̄, in code order, to the frozenset of n-tuples ȳ that
     fail eq. 3.1 with it, under the cap on kⁿ. x̄ is read only through its
-    key (λ_{x₁}⋯λ_{xₙ}, x₁⋯xₙ), both from ``power._products`` (x₁⋯xₙ as
-    the product of the rows of ``mul`` at 0). Each distinct key reads h̄
-    off the power row of λ_{x₁}⋯λ_{xₙ} (``power._f_row``), and ȳ fails
-    when the prefix products of h̄ differ from λ_{x₁⋯xₙ} of those of ȳ."""
+    key (λ_{x₁}⋯λ_{xₙ}, x₁⋯xₙ): the first from ``power._products``, the
+    second the last prefix product of x̄. Each distinct key reads h̄ off
+    the power row of λ_{x₁}⋯λ_{xₙ} (``power._f_row``), and ȳ fails when
+    the prefix products of h̄ differ from λ_{x₁⋯xₙ} of those of ȳ."""
     b = lt.owner
     pw.check_degree(b.k, n, cap)
     codes = pw._codes(b.k, n)
     prefixes = [tuple(itertools.accumulate(t, lambda p, y: b.mul[p][y])) for t in codes]
-    keys = list(zip(pw._products(lt.table, n), [p[0] for p in pw._products(b.mul, n)]))
+    keys = list(zip(pw._products(lt.table, n), [p[-1] for p in prefixes]))
+    inv = [pm.inverse(p) for p in lt.table]
     failing = {}
     for lam_x, big_x in dict.fromkeys(keys):
         target = lt.table[big_x]
-        row = pw._f_row(lt.table, lt.inverses, lam_x, codes)
+        row = pw._f_row(lt.table, inv, lam_x, codes)
         failing[lam_x, big_x] = frozenset(
             ybar
             for ybar, ys, h in zip(codes, prefixes, row)
@@ -230,9 +230,10 @@ def _abelian_tables(k: int):
     return tables
 
 
-def _automorphisms(add, k):
+def _automorphisms(add):
     """The permutations fixing 0 that respect the addition table, in
     lexicographic order; the identity comes first."""
+    k = len(add)
     auts = []
     for rest in itertools.permutations(range(1, k)):
         p = (0,) + rest
@@ -284,7 +285,7 @@ def find_braces(k: int) -> list[Brace]:
         raise SizeCapExceeded(f"brace search bound {BRACE_SEARCH_BOUND} exceeded (k={k})")
     found = []
     for add in _abelian_tables(k):
-        auts = _automorphisms(add, k)
+        auts = _automorphisms(add)
         index = {p: i for i, p in enumerate(auts)}
         comp = [[index[pm.compose(p, q)] for q in auts] for p in auts]
         closes = functools.partial(_closes_under_product, add, auts, comp)

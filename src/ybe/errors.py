@@ -27,15 +27,13 @@ class AxiomError(YbeError, ValueError):
 
 
 class ParseError(YbeError, ValueError):
-    """Malformed input file.
+    """Malformed input file or command-line value.
 
-    ``category`` is one of "syntax", "count", "range", "bijection";
-    ``line`` is the 1-based source line when known.
+    ``line``, the 1-based source line when known, prefixes the message
+    as "line N: ".
     """
 
-    def __init__(self, message, category="syntax", line=None):
+    def __init__(self, message, line=None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.category = category
-        self.line = line

@@ -37,22 +37,17 @@ def _parse_int(token, lineno, what):
         raise ParseError(f"{what}: not an integer: {token!r}", line=lineno) from None
 
 
-def _parse_row(lineno, line, width, upper, what):
+def _parse_row(lineno, line, width, what):
+    """A row of ``width`` integers, each in [0, width)."""
     tokens = line.split()
     if len(tokens) != width:
         raise ParseError(
-            f"{what}: expected {width} entries, got {len(tokens)}",
-            category="count",
-            line=lineno,
+            f"{what}: expected {width} entries, got {len(tokens)}", line=lineno
         )
     row = [_parse_int(t, lineno, what) for t in tokens]
     for v in row:
-        if not 0 <= v < upper:
-            raise ParseError(
-                f"{what}: entry {v} out of range [0, {upper})",
-                category="range",
-                line=lineno,
-            )
+        if not 0 <= v < width:
+            raise ParseError(f"{what}: entry {v} out of range [0, {width})", line=lineno)
     return tuple(row)
 
 
@@ -61,16 +56,14 @@ def _parse_header(text, what):
     named ``what`` in errors, and the content lines after it."""
     lines = _content_lines(text)
     if not lines:
-        raise ParseError("empty file", category="count")
+        raise ParseError("empty file")
     lineno, header = lines[0]
     tokens = header.split()
     if len(tokens) != 1:
         raise ParseError(f"expected a single {what} on the first line", line=lineno)
     value = _parse_int(tokens[0], lineno, what)
     if value < 1:
-        raise ParseError(
-            f"{what} must be at least 1, got {value}", category="range", line=lineno
-        )
+        raise ParseError(f"{what} must be at least 1, got {value}", line=lineno)
     return value, lines[1:]
 
 
@@ -79,16 +72,12 @@ def parse_sigma_table(text):
     bijections) without running the axiom checks."""
     m, body = _parse_header(text, "size")
     if len(body) != m:
-        raise ParseError(
-            f"expected {m} permutation rows, got {len(body)}", category="count"
-        )
+        raise ParseError(f"expected {m} permutation rows, got {len(body)}")
     rows = []
     for x, (ln, line) in enumerate(body):
-        row = _parse_row(ln, line, m, m, f"sigma[{x}]")
+        row = _parse_row(ln, line, m, f"sigma[{x}]")
         if not pm.is_perm(row):
-            raise ParseError(
-                f"sigma[{x}] is not a bijection", category="bijection", line=ln
-            )
+            raise ParseError(f"sigma[{x}] is not a bijection", line=ln)
         rows.append(row)
     return rows
 
@@ -112,11 +101,10 @@ def parse_brace(text) -> Brace:
     k, body = _parse_header(text, "order")
     if len(body) != 2 * k:
         raise ParseError(
-            f"expected {2 * k} table rows (add then mul), got {len(body)}",
-            category="count",
+            f"expected {2 * k} table rows (add then mul), got {len(body)}"
         )
-    add = [_parse_row(ln, line, k, k, f"add[{a}]") for a, (ln, line) in enumerate(body[:k])]
-    mul = [_parse_row(ln, line, k, k, f"mul[{a}]") for a, (ln, line) in enumerate(body[k:])]
+    add = [_parse_row(ln, line, k, f"add[{a}]") for a, (ln, line) in enumerate(body[:k])]
+    mul = [_parse_row(ln, line, k, f"mul[{a}]") for a, (ln, line) in enumerate(body[k:])]
     return br.brace_from_tables(add, mul)
 
 

@@ -16,7 +16,7 @@ from .errors import SizeCapExceeded
 
 Perm = tuple[int, ...]
 
-#: Default cap on closure size and isomorphism-search input size.
+#: Default cap on closure size.
 DEFAULT_CAP = 10**6
 
 
@@ -86,7 +86,6 @@ class GeneratedGroup:
     order starting from the identity, applying generators in input order.
     """
 
-    degree: int
     generators: tuple[Perm, ...]
     elements: tuple[Perm, ...]
 
@@ -138,7 +137,7 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> GeneratedGroup:
                     if len(elements) > cap:
                         raise _cap_exceeded(cap)
         frontier = nxt
-    return GeneratedGroup(degree=len(gens[0]), generators=tuple(gens), elements=tuple(elements))
+    return GeneratedGroup(generators=tuple(gens), elements=tuple(elements))
 
 
 def group_order(generators, cap: int = DEFAULT_CAP) -> int:
@@ -214,15 +213,13 @@ def _extend(chain, g: Perm, i: int, cap: int) -> None:
                 _insert(chain, tuple(map(rep[1].__getitem__, xu)), i + 1, cap)
 
 
-def groups_isomorphic(g: GeneratedGroup, h: GeneratedGroup, cap: int = DEFAULT_CAP):
+def groups_isomorphic(g: GeneratedGroup, h: GeneratedGroup):
     """Search for a group isomorphism g -> h.
 
     Returns a dict mapping each element of g to an element of h, or None
     if the groups are not isomorphic. Exact search over generator
     images, pruned by order and element-order multiset.
     """
-    if g.order > cap or h.order > cap:
-        raise SizeCapExceeded(f"isomorphism search declined above cap {cap}")
     if g.order != h.order:
         return None
     if g.element_order_multiset() != h.element_order_multiset():
@@ -234,12 +231,11 @@ def groups_isomorphic(g: GeneratedGroup, h: GeneratedGroup, cap: int = DEFAULT_C
     by_order: dict[int, list[Perm]] = {}
     for e in h.elements:
         by_order.setdefault(perm_order(e), []).append(e)
-    ident_h = identity(h.degree)
 
     def build(images):
         # extend the generator images along g's breadth-first order, in
         # which each element is mapped before anything is reached from it
-        phi = {g.elements[0]: ident_h}
+        phi = {g.elements[0]: h.elements[0]}  # close_group lists the identity first
         for a in g.elements:
             for x, img in zip(gens, images):
                 phi.setdefault(compose(a, x), compose(phi[a], img))

@@ -40,8 +40,6 @@ class IsoCondition(enum.Enum):
 
 @dataclass(frozen=True)
 class PowerSolution:
-    base: Solution
-    n: int
     result: Solution  # row c is f_x̄ for x̄ the tuple with code c in _codes
     products: tuple[Perm, ...]  # entry c is σ_{x₁}⋯σ_{xₙ} for the same x̄, by _products
 
@@ -96,10 +94,11 @@ def psi_apply(sigma_table, tau: Perm, ybar) -> tuple[int, ...]:
     return tuple(t)
 
 
-def psi_perm(sigma_table, tau: Perm, n: int, cap: int = DEFAULT_POWER_CAP) -> Perm:
-    """The embedded permutation as a Perm of degree mⁿ."""
+def psi_perm(sigma_table, tau: Perm, n: int) -> Perm:
+    """The embedded permutation as a Perm of degree mⁿ, under the
+    default degree cap."""
     m = len(tau)
-    check_degree(m, n, cap)
+    check_degree(m, n, DEFAULT_POWER_CAP)
     codes = _codes(m, n)
     return tuple(codes[psi_apply(sigma_table, tau, ybar)] for ybar in codes)
 
@@ -146,12 +145,12 @@ def _products(rows, n: int) -> tuple[Perm, ...]:
     return products
 
 
-def f_map(s: Solution, xbar, n: int, cap: int = DEFAULT_POWER_CAP) -> Perm:
-    """The permutation f_x̄ of degree mⁿ, from the h_j recursion."""
-    if len(xbar) != n:
-        raise ValueError(f"expected a {n}-tuple, got {len(xbar)} entries")
+def f_map(s: Solution, xbar) -> Perm:
+    """The permutation f_x̄ of degree mⁿ, n = len(x̄), from the h_j
+    recursion, under the default degree cap."""
+    n = len(xbar)
     check_tuple(s.m, xbar)
-    check_degree(s.m, n, cap)
+    check_degree(s.m, n, DEFAULT_POWER_CAP)
     inv = [pm.inverse(p) for p in s.sigma]
     product = functools.reduce(pm.compose, [s.sigma[x] for x in xbar])
     return _f_row(s.sigma, inv, product, _codes(s.m, n))
@@ -166,7 +165,7 @@ def power_solution(s: Solution, n: int, cap: int = DEFAULT_POWER_CAP) -> PowerSo
     inv = [pm.inverse(p) for p in s.sigma]
     products = _products(s.sigma, n)
     sigma = tuple(_f_row(s.sigma, inv, p, codes) for p in products)
-    return PowerSolution(s, n, sol.from_sigma(sigma), products)
+    return PowerSolution(sol.from_sigma(sigma), products)
 
 
 def power_perm_group(ps: PowerSolution):

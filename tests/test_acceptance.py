@@ -97,14 +97,14 @@ def test_criterion_4_recursion_equals_embedded_product(corpus):
                 prod = s.sigma[xbar[0]]
                 for x in xbar[1:]:
                     prod = pm.compose(prod, s.sigma[x])
-                assert pw.f_map(s, xbar, n) == pw.psi_perm(s.sigma, prod, n)
+                assert pw.f_map(s, xbar) == pw.psi_perm(s.sigma, prod, n)
     report("criterion 4: h-recursion f equals embedded sigma-product", True)
 
 
 def test_criterion_5_closed_n2_formula(corpus):
     for s in corpus:
         for x1, x2 in itertools.product(range(s.m), repeat=2):
-            f = pw.f_map(s, (x1, x2), 2)
+            f = pw.f_map(s, (x1, x2))
             for y1, y2 in itertools.product(range(s.m), repeat=2):
                 z1, z2 = power_solution_n2_direct(s, x1, x2, y1, y2)
                 assert z1 * s.m + z2 == f[y1 * s.m + y2]  # lex, y₁ first

@@ -44,7 +44,7 @@ def _scan_braces(k):
     ``brace_from_tables`` accepts."""
     found = []
     for add in br._abelian_tables(k):
-        auts = br._automorphisms(add, k)
+        auts = br._automorphisms(add)
         for lams in itertools.product([pm.identity(k)], *[auts] * (k - 1)):
             mul = [[add[a][lams[a][c]] for c in range(k)] for a in range(k)]
             try:
@@ -59,9 +59,7 @@ def swapped_lambda_tables():
     for b in br.find_braces(4):
         rows = list(br.lambda_table(b).table)
         rows[1], rows[2] = rows[2], rows[1]
-        yield br.LambdaTable(
-            owner=b, table=tuple(rows), inverses=tuple(pm.inverse(p) for p in rows)
-        )
+        yield br.LambdaTable(owner=b, table=tuple(rows))
 
 
 def non_commuting_lambda_table():
@@ -69,9 +67,7 @@ def non_commuting_lambda_table():
     no brace, and unlike every brace of order ≤ 6 its rows do not
     commute pairwise, so it tells apart the order of compositions."""
     rows = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2), (0, 3, 2, 1))
-    return br.LambdaTable(
-        owner=br.find_braces(4)[0], table=rows, inverses=tuple(pm.inverse(p) for p in rows)
-    )
+    return br.LambdaTable(owner=br.find_braces(4)[0], table=rows)
 
 
 def eq_3_1_key(lt, xbar):
@@ -432,7 +428,7 @@ class TestFindBraces:
         # placed element among x, y and x+λ_x(y) is the newest, d
         for k in range(1, 7):
             for add in br._abelian_tables(k):
-                auts = br._automorphisms(add, k)
+                auts = br._automorphisms(add)
                 comp = [[auts.index(pm.compose(p, q)) for q in auts] for p in auts]
                 for d in range(1, k):
                     for lams in itertools.product([0], *[range(len(auts))] * d):
@@ -471,7 +467,7 @@ class TestFindBraces:
                     if p[0] == 0
                     and all(p[add[a][c]] == add[p[a]][p[c]] for a in range(k) for c in range(k))
                 ]
-                assert br._automorphisms(add, k) == scan
+                assert br._automorphisms(add) == scan
                 assert scan[0] == pm.identity(k)
 
     def test_deterministic_order(self):

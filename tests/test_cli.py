@@ -611,10 +611,11 @@ class TestSingleBuild:
             assert calls["lambda_table"] == braces
 
     def test_eq31_keys_each_x_product_once(self, capsys, monkeypatch, tmp_path):
-        # exhaustive n=3 on an order-6 brace: the 216 λ-products and group
-        # products come from one _products call each, and each of the at
-        # most 6 distinct keys reads its h̄ off one power row, instead of
-        # one product and one recursion for each of the 216² pairs
+        # exhaustive n=3 on an order-6 brace: the 216 λ-products come from
+        # one _products call and the group products from the prefix
+        # table, and each of the at most 6 distinct keys reads its h̄ off
+        # one power row, instead of one product and one recursion for
+        # each of the 216² pairs
         p = tmp_path / "brace6.txt"
         p.write_text(files.emit_brace(br.find_braces(6)[-1]))
         calls = {"_products": 0, "_f_row": 0}
@@ -625,14 +626,14 @@ class TestSingleBuild:
             monkeypatch.setattr(pw, name, counted)
         code, out, _ = run(capsys, "brace", "eq31-check", str(p), "--n", "3")
         assert (code, out) == (0, "checked all 46656 tuple pairs (n=3)\nfailures: 0\n")
-        assert calls["_products"] == 2
+        assert calls["_products"] == 1
         assert 1 <= calls["_f_row"] <= 6
         calls.update(_products=0, _f_row=0)
         code, out, _ = run(
             capsys, "brace", "eq31-check", str(p), "--n", "3", "--samples", "2000"
         )
         assert (code, out) == (0, "checked 2000 sampled tuple pairs (n=3, seed=0)\nfailures: 0\n")
-        assert calls["_products"] == 2
+        assert calls["_products"] == 1
         assert 1 <= calls["_f_row"] <= 6
 
 

@@ -100,7 +100,7 @@ class TestCloseGroup:
     def test_lagrange(self):
         for gens in [[(1, 0, 2)], [(1, 2, 0)], [(1, 0, 2), (0, 2, 1)]]:
             g = pm.close_group(gens)
-            assert math.factorial(g.degree) % g.order == 0
+            assert math.factorial(len(g.generators[0])) % g.order == 0
 
     def test_closure_idempotent(self):
         g = pm.close_group([(1, 2, 0), (1, 0, 2)])
@@ -301,8 +301,3 @@ class TestGroupsIsomorphic:
         assert pm.groups_isomorphic(g, h) is not None
         assert g.order == h.order
         assert g.element_order_multiset() == h.element_order_multiset()
-
-    def test_cap_declines(self):
-        g = pm.close_group([(1, 2, 0)])
-        with pytest.raises(SizeCapExceeded):
-            pm.groups_isomorphic(g, g, cap=2)

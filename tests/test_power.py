@@ -111,27 +111,25 @@ class TestFMap:
     def test_trivial_base(self):
         s = sol.trivial(3)
         for xbar in itertools.product(range(3), repeat=2):
-            assert pw.f_map(s, xbar, 2) == pm.identity(9)
+            assert pw.f_map(s, xbar) == pm.identity(9)
 
     def test_swap_products_collapse(self, swap2):
         for xbar in itertools.product(range(2), repeat=2):
-            assert pw.f_map(swap2, xbar, 2) == pm.identity(4)
+            assert pw.f_map(swap2, xbar) == pm.identity(4)
 
     def test_adjoined_matches_psi(self, adjoined3):
-        f = pw.f_map(adjoined3, (0, 2), 2)
+        f = pw.f_map(adjoined3, (0, 2))
         tau = pm.compose(adjoined3.sigma[0], adjoined3.sigma[2])
         assert tau == (1, 0, 2)
         assert f == pw.psi_perm(adjoined3.sigma, tau, 2)
 
     def test_out_of_range(self, swap2):
         with pytest.raises(ValueError):
-            pw.f_map(swap2, (), 0)
+            pw.f_map(swap2, ())
         with pytest.raises(ValueError):
-            pw.f_map(swap2, (0, 2), 2)
+            pw.f_map(swap2, (0, 2))
         with pytest.raises(ValueError):
-            pw.f_map(swap2, (-1, 0), 2)
-        with pytest.raises(ValueError, match="^expected a 2-tuple, got 1 entries$"):
-            pw.f_map(swap2, (0,), 2)
+            pw.f_map(swap2, (-1, 0))
 
     def test_equals_psi_of_product_everywhere(self, corpus):
         for s in corpus:
@@ -140,7 +138,7 @@ class TestFMap:
                     prod = s.sigma[xbar[0]]
                     for x in xbar[1:]:
                         prod = pm.compose(prod, s.sigma[x])
-                    assert pw.f_map(s, xbar, n) == pw.psi_perm(s.sigma, prod, n)
+                    assert pw.f_map(s, xbar) == pw.psi_perm(s.sigma, prod, n)
 
 
 class TestPowerSolution:
@@ -178,7 +176,7 @@ class TestPowerSolution:
         for s in corpus:
             for n in (2, 3):
                 ps = pw.power_solution(s, n)
-                pairs = _pairs(ps)
+                pairs = _pairs(ps, s, n)
                 assert [p for _, p in pairs] == list(ps.products)
                 for f, p in pairs:
                     assert f == pw.psi_perm(s.sigma, p, n)
@@ -229,7 +227,7 @@ class TestN2Direct:
         # (y₁, y₂) has code y₁·m + y₂: lex order, y₁ most significant
         for s in corpus:
             for x1, x2 in itertools.product(range(s.m), repeat=2):
-                f = pw.f_map(s, (x1, x2), 2)
+                f = pw.f_map(s, (x1, x2))
                 for y1, y2 in itertools.product(range(s.m), repeat=2):
                     z1, z2 = power_solution_n2_direct(s, x1, x2, y1, y2)
                     assert z1 * s.m + z2 == f[y1 * s.m + y2]
@@ -307,9 +305,9 @@ class TestPowerPermGroup:
                 a_order, b_order, iso = pw.power_perm_group(ps)
                 assert (a_order, b_order) == (a.order, b.order)
                 assert iso
-                phi = _pairing_phi(ps)
+                phi = _pairing_phi(ps, s, n)
                 assert _is_isomorphism(a, b, phi)
-                assert all(phi[f] == p for f, p in _pairs(ps))
+                assert all(phi[f] == p for f, p in _pairs(ps, s, n))
                 assert pm.groups_isomorphic(a, b) is not None
 
     def test_makes_no_isomorphism_search(self, corpus, monkeypatch):
@@ -330,7 +328,7 @@ class TestPowerPermGroup:
         # isomorphism (brute force over all bijections A -> B)
         other = sol.from_sigma([(0, 1, 2), (0, 2, 1), (0, 2, 1)])
         ps = pw.power_solution(adjoined3, 2)
-        a_order, b_order, iso = pw.power_perm_group(_paired_with(ps, other))
+        a_order, b_order, iso = pw.power_perm_group(_paired_with(ps, other, 2))
         assert a_order == b_order == 2
         assert not iso
         noes = {True: 0, False: 0}
@@ -338,14 +336,14 @@ class TestPowerPermGroup:
             if s.m != t.m:
                 continue
             for n in (2, 3):
-                mixed = _paired_with(pw.power_solution(s, n), t)
+                mixed = _paired_with(pw.power_solution(s, n), t, n)
                 a, b = _oracle_groups(mixed)
                 a_order, b_order, iso = pw.power_perm_group(mixed)
                 assert (a_order, b_order) == (a.order, b.order)
-                pairs = _pairs(mixed)
+                pairs = _pairs(mixed, t, n)
                 assert iso == _pairing_extends(a, b, pairs)
                 if iso:
-                    phi = _pairing_phi(mixed)
+                    phi = _pairing_phi(mixed, t, n)
                     assert _is_isomorphism(a, b, phi)
                     assert all(phi[f] == p for f, p in pairs)
                 else:
@@ -353,10 +351,9 @@ class TestPowerPermGroup:
         assert noes[True] and noes[False]
 
 
-def _paired_with(ps, other):
-    """ps with the base and x-products of ``other`` at the same n."""
-    products = pw.power_solution(other, ps.n).products
-    return dataclasses.replace(ps, base=other, products=products)
+def _paired_with(ps, other, n):
+    """ps, the power solution at n, with the x-products of ``other``."""
+    return dataclasses.replace(ps, products=pw.power_solution(other, n).products)
 
 
 def _oracle_groups(ps):
@@ -365,26 +362,27 @@ def _oracle_groups(ps):
     return sol.permutation_group(ps.result), pm.close_group(dict.fromkeys(ps.products))
 
 
-def _pairs(ps):
-    """(f_x̄, σ_{x₁}⋯σ_{xₙ}) for every x̄, with the products of ps.base;
-    row c is f_x̄ for the c-th tuple x̄ in lex order."""
+def _pairs(ps, base, n):
+    """(f_x̄, σ_{x₁}⋯σ_{xₙ}) for every n-tuple x̄, with the products of
+    ``base``; row c is f_x̄ for the c-th tuple x̄ in lex order."""
     out = []
-    xbars = itertools.product(range(ps.base.m), repeat=ps.n)
+    xbars = itertools.product(range(base.m), repeat=n)
     for f, xbar in zip(ps.result.sigma, xbars, strict=True):
-        prod = ps.base.sigma[xbar[0]]
+        prod = base.sigma[xbar[0]]
         for x in xbar[1:]:
-            prod = pm.compose(prod, ps.base.sigma[x])
+            prod = pm.compose(prod, base.sigma[x])
         out.append((f, prod))
     return out
 
 
-def _pairing_phi(ps):
-    """The pairing f_x̄ -> σ_{x₁}⋯σ_{xₙ} extended over A: close the pairs
-    as permutations of the disjoint union of Xⁿ and X, and read each
-    element of the closure as a -> b. When the closure is not the graph
-    of a function, a later entry overwrites an earlier one."""
+def _pairing_phi(ps, base, n):
+    """The pairing f_x̄ -> σ_{x₁}⋯σ_{xₙ} of ``_pairs(ps, base, n)``
+    extended over A: close the pairs as permutations of the disjoint
+    union of Xⁿ and X, and read each element of the closure as a -> b.
+    When the closure is not the graph of a function, a later entry
+    overwrites an earlier one."""
     deg = ps.result.m
-    d = pm.close_group([f + tuple(deg + v for v in p) for f, p in _pairs(ps)])
+    d = pm.close_group([f + tuple(deg + v for v in p) for f, p in _pairs(ps, base, n)])
     return {e[:deg]: tuple(v - deg for v in e[deg:]) for e in d.elements}
 
 

@@ -96,6 +96,46 @@ def test_all_names_exactly_the_public_api():
     assert public == set(ybe.__all__)
 
 
+def test_every_attribute_is_read():
+    # every dataclass field and every self.<name> attribute of a package
+    # class is read somewhere in the package as an attribute load. The
+    # match is by name, so a field counts as read wherever its name is
+    # (PowerSolution.n would hide behind args.n); Brace.neg is read by
+    # Brace.sub
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert trees
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+    found = []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            # the annotated names of a class body: a dataclass's fields
+            fields = [
+                node.target.id
+                for node in cls.body
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+            ]
+            fields += [
+                node.attr
+                for node in ast.walk(cls)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and getattr(node.value, "id", None) == "self"
+            ]
+            found += [f"{module}:{cls.name}.{name}" for name in fields if name not in read]
+    assert found == []
+
+
 def test_cli_calls_no_oracle():
     found = {(top, name) for top, name in references(SRC / "cli.py") if name in ORACLES}
     assert found == set()
