@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from . import perm as pm
@@ -54,7 +55,11 @@ class LambdaTable:
 def _freeze_table(table, k, what):
     rows = []
     for a, row in enumerate(table):
-        row = tuple(int(v) for v in row)
+        row = tuple(row)
+        try:
+            row = tuple(map(operator.index, row))
+        except TypeError:
+            raise AxiomError(f"{what}[{a}] contains a non-integer entry: {list(row)}") from None
         if len(row) != k:
             raise AxiomError(f"{what} row {a} has length {len(row)}, expected {k}")
         for v in row:

@@ -25,8 +25,12 @@ def is_perm(images) -> bool:
 
 
 def perm(images) -> Perm:
-    """Validate and freeze an image sequence into a Perm."""
+    """Validate and freeze an image sequence into a Perm of ints."""
     p = tuple(images)
+    try:
+        p = tuple(map(operator.index, p))
+    except TypeError:
+        raise ValueError(f"images must be integers: {list(p)}") from None
     if not p:
         raise ValueError("empty image list (degree 0 is not allowed)")
     if not is_perm(p):
@@ -40,11 +44,19 @@ def identity(m: int) -> Perm:
     return tuple(range(m))
 
 
+def _right_multiplier(g: Perm):
+    """The map e ↦ e∘g at C speed: itemgetter(*g)(e) is (e[g[0]], e[g[1]], ...).
+    itemgetter of one index returns the item, not a tuple, so in degree 1,
+    whose only permutation is the identity, e is mapped to itself."""
+    return operator.itemgetter(*g) if len(g) > 1 else tuple
+
+
 def compose(p: Perm, q: Perm) -> Perm:
-    """(p∘q)(i) = p(q(i)); q is applied first."""
+    """(p∘q)(i) = p(q(i)); q is applied first. The package's one
+    composition kernel, at C speed through ``_right_multiplier``."""
     if len(p) != len(q):
         raise ValueError(f"degree mismatch: {len(p)} vs {len(q)}")
-    return tuple(p[q[i]] for i in range(len(q)))
+    return _right_multiplier(q)(p)
 
 
 def inverse(p: Perm) -> Perm:
@@ -52,13 +64,6 @@ def inverse(p: Perm) -> Perm:
     for i, j in enumerate(p):
         inv[j] = i
     return tuple(inv)
-
-
-def _right_multiplier(g: Perm):
-    """The map e ↦ e∘g at C speed: itemgetter(*g)(e) is (e[g[0]], e[g[1]], ...).
-    itemgetter of one index returns the item, not a tuple, so in degree 1,
-    whose only permutation is the identity, e is mapped to itself."""
-    return operator.itemgetter(*g) if len(g) > 1 else tuple
 
 
 def perm_order(p: Perm) -> int:
@@ -173,7 +178,7 @@ def _insert(chain, g: Perm, top: int, cap: int) -> None:
         rep = orbits[level].get(g[points[level]])
         if rep is None:
             break
-        g = tuple(map(rep[1].__getitem__, g))
+        g = compose(rep[1], g)
     else:
         if g == identity(len(g)):
             return
@@ -201,7 +206,7 @@ def _extend(chain, g: Perm, i: int, cap: int) -> None:
     for beta, xs in pending:
         u = orbit[beta][0]
         for x in xs:
-            xu = tuple(map(x.__getitem__, u))
+            xu = compose(x, u)
             gamma = xu[b]
             rep = orbit.get(gamma)
             if rep is None:
@@ -210,7 +215,7 @@ def _extend(chain, g: Perm, i: int, cap: int) -> None:
                 if math.prod(map(len, orbits)) > cap:
                     raise _cap_exceeded(cap)
             elif rep[0] != xu:
-                _insert(chain, tuple(map(rep[1].__getitem__, xu)), i + 1, cap)
+                _insert(chain, compose(rep[1], xu), i + 1, cap)
 
 
 def groups_isomorphic(g: GeneratedGroup, h: GeneratedGroup):

@@ -292,7 +292,7 @@ def _relabelled(sigma, phi) -> tuple[Perm, ...]:
     """The σ-table carried along the relabeling φ: row φ(x) is
     φ∘σ_x∘φ⁻¹. The one place the relabeling action is written."""
     phi_inv = pm.inverse(phi)
-    return tuple(tuple(phi[sigma[x][y]] for y in phi_inv) for x in phi_inv)
+    return tuple(pm.compose(phi, pm.compose(sigma[x], phi_inv)) for x in phi_inv)
 
 
 def _relabelings(m: int):

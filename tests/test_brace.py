@@ -32,6 +32,7 @@ MALFORMED_TABLES = [
     ([], "empty brace is not allowed", None),
     ([[0, 1], [1]], "add row 1 has length 1, expected 2", None),
     ([[0, 2], [1, 0]], "add[0] contains out-of-range entry 2", None),
+    ([[0, 1], [1, "0"]], "add[1] contains a non-integer entry: [1, '0']", None),
     ([[1, 0], [0, 1]], "add: 0 is not an identity", (0,)),
     ([[0, 1, 2], [1, 2, 2], [2, 2, 0]], "add: not associative", (1, 1, 2)),
     ([[0, 1], [1, 1]], "add: element 1 has no inverse", (1,)),
@@ -116,6 +117,13 @@ class TestBraceFromTables:
             with pytest.raises(AxiomError, match=pattern) as trivial:
                 br.trivial_brace(table)
             assert direct.value.witness == trivial.value.witness == witness
+
+    def test_rejects_non_integer_entries(self):
+        # an entry is never truncated to an integer, even a whole float
+        for entry in (1.5, 1.0):
+            pattern = f"^{re.escape(f'mul[0] contains a non-integer entry: [0, {entry}]')}$"
+            with pytest.raises(AxiomError, match=pattern):
+                br.brace_from_tables(z_table(2), [[0, entry], [1, 0]])
 
     def test_rejects_mul_with_wrong_row_count(self):
         with pytest.raises(AxiomError, match="^mul has 1 rows, expected 2$"):

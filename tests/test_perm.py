@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -75,6 +76,59 @@ class TestBasics:
         q = pm.inverse(p)
         for i in range(len(p)):
             assert pm.compose(p, q)[i] == p[q[i]]
+
+
+def pointwise(p, q):
+    """p∘q by its definition, one point at a time: the kernel's oracle."""
+    return tuple(p[q[i]] for i in range(len(q)))
+
+
+def pointwise_closure(gens):
+    """The group generated by ``gens``, closed under ``pointwise``."""
+    ident = pm.identity(len(gens[0]))
+    elements, frontier = {ident}, {ident}
+    while frontier:
+        frontier = {pointwise(e, g) for e in frontier for g in gens} - elements
+        elements |= frontier
+    return elements
+
+
+class TestComposeKernel:
+    # perms() stops at degree 6; these reach past it, across the 255
+    # arguments that once bounded a call, on seeded permutations
+
+    @pytest.mark.parametrize("m", [1, 2, 255, 256, 257, 1000])
+    def test_matches_pointwise_definition(self, m):
+        rng = random.Random(m)
+        for _ in range(10):
+            p, q = (tuple(rng.sample(range(m), m)) for _ in range(2))
+            want = pointwise(p, q)
+            for a, b in itertools.product((p, list(p)), (q, list(q))):
+                got = pm.compose(a, b)
+                assert type(got) is tuple and got == want
+
+    @pytest.mark.parametrize("p, q", [((0,), (1, 0)), ((1, 0), (1, 2, 0)), ([1, 0], [0])])
+    def test_degree_mismatch(self, p, q):
+        with pytest.raises(ValueError, match=f"^degree mismatch: {len(p)} vs {len(q)}$"):
+            pm.compose(p, q)
+
+
+class TestNonIntegerImages:
+    # an image that is not an integer is rejected by perm() at each entry
+    # point, rather than failing as an index inside the composition kernel
+
+    def test_perm(self):
+        with pytest.raises(ValueError, match=r"^images must be integers: \[1\.0, 0\]$"):
+            pm.perm((1.0, 0))
+        assert pm.perm([True, False]) == (1, 0)
+
+    def test_close_group(self):
+        with pytest.raises(ValueError, match="^images must be integers"):
+            pm.close_group([(1.0, 0)])
+
+    def test_group_order(self):
+        with pytest.raises(ValueError, match="^images must be integers"):
+            pm.group_order([(1.0, 0)])
 
 
 class TestCloseGroup:
@@ -166,9 +220,12 @@ class TestGroupOrder:
     # close_group lists the group; its order is the oracle throughout
 
     def test_sigma_rows_of_every_small_solution(self, solutions_m4):
+        # the 168 solutions on four points among them; both counts share
+        # the composition kernel, so the pointwise closure checks it too
         assert len(solutions_m4) == 183
         for s in solutions_m4:
-            assert pm.group_order(s.sigma) == pm.close_group(s.sigma).order, s.sigma
+            order = len(pointwise_closure(s.sigma))
+            assert pm.group_order(s.sigma) == pm.close_group(s.sigma).order == order, s.sigma
 
     def test_power_generators(self, solutions_m4):
         # D, A and B of power_perm_group, at degree mⁿ ≤ 64

@@ -46,6 +46,10 @@ class TestPsiApply:
         with pytest.raises(ValueError):
             pw.psi_perm(swap2.sigma, (1, 1), 2)
 
+    def test_tau_with_non_integer_images(self, swap2):
+        with pytest.raises(ValueError, match=r"^images must be integers: \[1\.0, 0\]$"):
+            pw.psi_apply(swap2.sigma, (1.0, 0), (0, 0))
+
 
 class TestPsiInverse:
     # ψ is a homomorphism, so ψ(τ⁻¹) must undo ψ(τ)

@@ -435,6 +435,28 @@ class TestCanonicalForm:
                 form = sol.canonical_form(s)
                 assert sol.solutions_isomorphic(s, sol.from_sigma(form)) is not None
 
+    def test_relabelling_is_the_pointwise_action(self):
+        # all 168 solutions on four points under all 24 relabelings φ:
+        # the relabelled row φ(x) sends φ(y) to φ(σ_x(y)), written point
+        # by point here rather than through the composition kernel; the
+        # canonical form is the least of them, and solutions_isomorphic
+        # finds a relabeling onto each
+        found = sol.enumerate_solutions(4)
+        assert len(found) == 168
+        for s in found:
+            tables = set()
+            for phi in itertools.permutations(range(4)):
+                rows = [[None] * 4 for _ in range(4)]
+                for x, y in itertools.product(range(4), repeat=2):
+                    rows[phi[x]][phi[y]] = phi[s.sigma[x][y]]
+                table = tuple(map(tuple, rows))
+                assert sol._relabelled(s.sigma, phi) == table
+                tables.add(table)
+            assert sol.canonical_form(s) == min(tables)
+            for table in tables:
+                phi = sol.solutions_isomorphic(s, sol.Solution(table))
+                assert phi is not None and sol._relabelled(s.sigma, phi) == table
+
     def test_cap(self):
         with pytest.raises(SizeCapExceeded):
             sol.canonical_form(sol.trivial(9))

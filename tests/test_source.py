@@ -199,6 +199,19 @@ def test_one_h_recursion():
     assert found == set()
 
 
+def test_one_composition_kernel():
+    # every permutation product goes through perm.compose, whose C-speed
+    # map perm._right_multiplier is the one itemgetter in the package; a
+    # hand-written product by __getitem__ fails here
+    found = {
+        (path.name, top, name)
+        for path in sorted(SRC.glob("*.py"))
+        for top, name in references(path)
+        if name in ("itemgetter", "__getitem__")
+    }
+    assert found == {("perm.py", "_right_multiplier", "itemgetter")}
+
+
 def test_only_permgroup_lists_a_group():
     # every other order is counted by perm.group_order; permgroup lists
     # the group for its element-order multiset
