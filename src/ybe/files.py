@@ -12,6 +12,8 @@ single spaces, trailing newline). parse∘emit is the identity on tables.
 
 from __future__ import annotations
 
+import re
+
 from . import brace as br
 from . import perm as pm
 from . import solution as sol
@@ -30,11 +32,15 @@ def _content_lines(text):
     return out
 
 
+#: An integer token: ASCII digits with an optional minus sign, and no
+#: underscores, plus sign or non-ASCII digits, which ``int`` also accepts.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def _parse_int(token, lineno, what):
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"{what}: not an integer: {token!r}", line=lineno) from None
+    if _INTEGER.fullmatch(token) is None:
+        raise ParseError(f"{what}: not an integer: {token!r}", line=lineno)
+    return int(token)
 
 
 def _parse_row(lineno, line, width, what):

@@ -160,19 +160,35 @@ def group_order(generators, cap: int = DEFAULT_CAP) -> int:
     SizeCapExceeded (with close_group's message) is raised exactly when
     the order exceeds ``cap``.
     """
+    return math.prod(map(len, _sift(generators, cap)[0][2]))
+
+
+def irredundant_generators(generators, cap: int = DEFAULT_CAP) -> list[Perm]:
+    """The distinct generators, in input order, that each lie outside the
+    group generated by the ones before them, as ``group_order``'s sift
+    finds them; they generate the same group. Each one at least doubles
+    the group (Lagrange), so there are at most log₂ of its order of
+    them, and none when every generator is the identity. Raises
+    SizeCapExceeded exactly as ``group_order`` does."""
+    return _sift(generators, cap)[1]
+
+
+def _sift(generators, cap: int):
+    """(chain, kept): the stabilizer chain of a nonempty generator list,
+    built by inserting its distinct generators in input order, and
+    those of them that extended it."""
     gens = _generators(dict.fromkeys(map(tuple, generators)))
     chain = ([], [], [])  # per level: base point, strong generators, orbit
-    for g in gens:
-        _insert(chain, g, 0, cap)
-    return math.prod(map(len, chain[2]))
+    return chain, [g for g in gens if _insert(chain, g, 0, cap)]
 
 
-def _insert(chain, g: Perm, top: int, cap: int) -> None:
+def _insert(chain, g: Perm, top: int, cap: int) -> bool:
     """Sift g through the levels from ``top`` on. A residue other than the
     identity fixes the base points above the level where it stopped; it
     becomes a strong generator of that level and of every level up to
     ``top``, deepest first, so each level is closed over a complete
-    deeper chain."""
+    deeper chain. Returns whether the chain was extended, that is,
+    whether g lay outside the group of the levels from ``top`` on."""
     points, _, orbits = chain
     for level in range(top, len(points)):
         rep = orbits[level].get(g[points[level]])
@@ -181,10 +197,11 @@ def _insert(chain, g: Perm, top: int, cap: int) -> None:
         g = compose(rep[1], g)
     else:
         if g == identity(len(g)):
-            return
+            return False
         level = len(points)
     for i in range(level, top - 1, -1):
         _extend(chain, g, i, cap)
+    return True
 
 
 def _extend(chain, g: Perm, i: int, cap: int) -> None:

@@ -17,6 +17,7 @@ from ybe import perm as pm
 from ybe import power as pw
 from ybe import solution as sol
 from ybe.cli import main
+from ybe.errors import SizeCapExceeded
 
 
 def run(capsys, *argv):
@@ -74,6 +75,15 @@ def present_reference(s):
     lines.append(f"relation count: {len(lines) - 2}")
     return "\n".join(lines) + "\n"
 
+
+
+def permgroup_reference(s):
+    """``ybe permgroup``'s stdout from the group listed over every
+    distinct σ-row by ``permutation_group``."""
+    g = sol.permutation_group(s)
+    rows = "".join("  " + " ".join(map(str, gen)) + "\n" for gen in g.generators)
+    orders = " ".join(map(str, g.element_order_multiset()))
+    return f"order: {g.order}\ngenerators:\n{rows}element orders: {orders}\n"
 
 def count_calls(monkeypatch, module, name):
     """Count the calls of ``module.name`` made from now on."""
@@ -365,11 +375,15 @@ class TestPower:
 
 class TestPermgroup:
     def test_trivial(self, capsys, tmp_path):
-        p = tmp_path / "t4.txt"
-        p.write_text(files.emit_solution(sol.trivial(4)))
-        code, out, _ = run(capsys, "permgroup", str(p))
-        assert code == 0
-        assert "order: 1" in out
+        # every σ-row is the identity, so the sift keeps none; the one
+        # distinct row is printed once
+        for m in (3, 4):
+            p = tmp_path / "trivial.txt"
+            p.write_text(files.emit_solution(sol.trivial(m)))
+            row = " ".join(map(str, range(m)))
+            assert run(capsys, "permgroup", str(p)) == (
+                0, f"order: 1\ngenerators:\n  {row}\nelement orders: 1\n", ""
+            )
 
     def test_swap(self, capsys, swap2_file):
         code, out, _ = run(capsys, "permgroup", swap2_file)
@@ -388,6 +402,47 @@ class TestPermgroup:
         assert run(capsys, "permgroup", one_point_file) == (
             0, "order: 1\ngenerators:\n  0\nelement orders: 1\n", ""
         )
+
+    def test_matches_the_listing_over_every_row(self, capsys, tmp_path, o8):
+        # every labelled solution on at most four points, and seeded
+        # relabellings of O8ᵏ (k ≤ 4), O8⊔C3 and O8⊔C4; at --cap |G| and,
+        # with permutation_group's message, at --cap |G| − 1
+        rng = random.Random(26)
+        cases = [s for m in (1, 2, 3, 4) for s in sol.enumerate_solutions(m)]
+        c3 = sol.from_sigma([(1, 2, 0)] * 3)
+        c4 = sol.from_sigma([(1, 2, 3, 0)] * 4)
+        for parts in ([o8], [o8] * 2, [o8] * 3, [o8] * 4, [o8, c3], [o8, c4]):
+            union = sol.disjoint_union(parts)
+            phi = tuple(rng.sample(range(union.m), union.m))
+            cases.append(sol.from_sigma(sol._relabelled(union.sigma, phi)))
+        assert len(cases) == 189
+        p = tmp_path / "s.txt"
+        for s in cases:
+            p.write_text(files.emit_solution(s))
+            order = pm.group_order(s.sigma)
+            assert run(capsys, "--cap", str(order), "permgroup", str(p)) == (
+                0, permgroup_reference(s), ""
+            ), s.sigma
+            if order > 1:
+                with pytest.raises(SizeCapExceeded) as e:
+                    sol.permutation_group(s, cap=order - 1)
+                assert run(capsys, "--cap", str(order - 1), "permgroup", str(p)) == (
+                    3, "", f"error: {e.value}\n"
+                ), s.sigma
+
+    def test_o8x4_lists_over_the_kept_rows(self, capsys, monkeypatch, tmp_path, o8):
+        # the sift keeps 8 of the 16 σ-rows and checks the cap itself; one
+        # closure lists the group over those 8
+        closures = count_calls(monkeypatch, pm, "close_group")
+        orders = count_calls(monkeypatch, pm, "group_order")
+        listings = count_calls(monkeypatch, sol, "permutation_group")
+        p = tmp_path / "o8x4.txt"
+        p.write_text(files.emit_solution(sol.disjoint_union([o8] * 4)))
+        code, out, _ = run(capsys, "permgroup", str(p))
+        assert (code, out.splitlines()[:2]) == (0, ["order: 4096", "generators:"])
+        assert len(out.splitlines()) == 19  # the 16 distinct rows
+        assert [len(gens) for gens, *_ in closures] == [8]
+        assert orders == listings == []
 
     def test_past_cap_declines_before_listing(self, capsys, monkeypatch, tmp_path, o8):
         # O8⁵ has order 8⁵, past the default cap of 4096

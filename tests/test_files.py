@@ -79,6 +79,21 @@ def test_header_errors(parse, what, text, message, kind, line):
     assert str(exc.value).startswith(f"line {line}: ") == (line is not None)
 
 
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        # an underscore, a plus sign and full-width digits all pass int()
+        ("0_2\n0 1\n1 0\n", "line 1: size: not an integer: '0_2'"),
+        ("+0\n", "line 1: size: not an integer: '+0'"),
+        ("2\n\uff11 \uff10\n1 0\n", "line 2: sigma[0]: not an integer: '\uff11'"),
+    ],
+)
+def test_integers_are_ascii_digits(text, message):
+    with pytest.raises(ParseError) as exc:
+        files.parse_solution(text)
+    assert str(exc.value) == message
+
 class TestEmitSolution:
     def test_trivial_canonical(self):
         assert files.emit_solution(sol.trivial(2)) == "2\n0 1\n0 1\n"

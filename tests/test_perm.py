@@ -127,8 +127,9 @@ class TestNonIntegerImages:
             pm.close_group([(1.0, 0)])
 
     def test_group_order(self):
-        with pytest.raises(ValueError, match="^images must be integers"):
-            pm.group_order([(1.0, 0)])
+        for sift in (pm.group_order, pm.irredundant_generators):
+            with pytest.raises(ValueError, match="^images must be integers"):
+                sift([(1.0, 0)])
 
 
 class TestCloseGroup:
@@ -256,6 +257,11 @@ class TestGroupOrder:
                 pm.group_order(gens, cap=order - 1)
             assert str(sims.value) == str(closure.value)
             assert str(sims.value) == f"group closure exceeded cap of {order - 1} elements"
+            # the sift that keeps the generators checks the same cap
+            assert pm.irredundant_generators(gens, cap=order)
+            with pytest.raises(SizeCapExceeded) as sift:
+                pm.irredundant_generators(gens, cap=order - 1)
+            assert str(sift.value) == str(closure.value)
 
     def test_degree_one_and_identity(self):
         assert pm.group_order([(0,)]) == 1
@@ -268,12 +274,75 @@ class TestGroupOrder:
         assert pm.group_order([cycle, swap], cap=10**9) == math.factorial(12)
 
     def test_degree_mismatch(self):
-        with pytest.raises(ValueError):
-            pm.group_order([(1, 0), (1, 2, 0)])
+        for sift in (pm.group_order, pm.irredundant_generators):
+            with pytest.raises(ValueError):
+                sift([(1, 0), (1, 2, 0)])
 
     def test_empty_generators(self):
-        with pytest.raises(ValueError):
-            pm.group_order([])
+        for sift in (pm.group_order, pm.irredundant_generators):
+            with pytest.raises(ValueError):
+                sift([])
+
+
+def generator_lists():
+    """Nonempty lists of up to six permutations of one degree ≤ 6."""
+    return perms().flatmap(
+        lambda p: st.lists(st.permutations(list(range(len(p)))).map(tuple), max_size=5)
+        .map(lambda rest: [p, *rest])
+    )
+
+
+def check_irredundant(gens):
+    """The sift's kept generators against close_group, the oracle."""
+    distinct = list(dict.fromkeys(gens))
+    kept = pm.irredundant_generators(gens)
+    remaining = iter(distinct)
+    assert all(g in remaining for g in kept)  # a subsequence of the distinct inputs
+    before = {pm.identity(len(gens[0]))}
+    for i, g in enumerate(kept):
+        if i:
+            before = set(pm.close_group(kept[:i]).elements)
+        assert g not in before
+    elements = set(pm.close_group(distinct).elements)
+    # with no generator kept, every input is the identity
+    assert set(pm.close_group(kept or distinct[:1]).elements) == elements
+    assert 2 ** len(kept) <= len(elements)
+    assert pm.group_order(kept or distinct[:1]) == pm.group_order(gens) == len(elements)
+
+
+class TestIrredundantGenerators:
+    @given(generator_lists())
+    def test_random_generators(self, gens):
+        check_irredundant(gens)
+
+    @pytest.mark.parametrize("degree", [16, 32])
+    def test_seeded_unions(self, solutions_m4, degree):
+        # the σ-rows of relabelled disjoint unions of small solutions,
+        # kept to groups that close_group lists quickly
+        rng = random.Random(degree)
+        checked = 0
+        while checked < 4:
+            parts = []
+            while sum(s.m for s in parts) < degree:
+                room = degree - sum(s.m for s in parts)
+                parts.append(rng.choice([s for s in solutions_m4 if s.m <= room]))
+            phi = tuple(rng.sample(range(degree), degree))
+            rows = sol._relabelled(sol.disjoint_union(parts).sigma, phi)
+            try:
+                pm.group_order(rows, cap=4096)
+            except SizeCapExceeded:
+                continue
+            check_irredundant(rows)
+            checked += 1
+
+    def test_identity_and_repeats(self):
+        assert pm.irredundant_generators([pm.identity(5)] * 3) == []
+        assert pm.irredundant_generators([(0,)]) == []
+        assert pm.irredundant_generators([(1, 0), (1, 0), (0, 1)]) == [(1, 0)]
+        # a generator of the group before it is dropped, later ones kept
+        assert pm.irredundant_generators([(1, 2, 0), (2, 0, 1), (1, 0, 2)]) == [
+            (1, 2, 0), (1, 0, 2)
+        ]
 
 
 def q8_left_regular(a):
