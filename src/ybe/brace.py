@@ -30,7 +30,9 @@ LAMBDA_PROPERTIES = (
     "sigma_condition",                # λ_aλ_{λ⁻¹_a(b)} = λ_bλ_{λ⁻¹_b(a)}
 )
 
-BRACE_SEARCH_BOUND = 6  # largest order that find_braces searches
+# largest order k, in brace elements, that find_braces searches; fixed,
+# --cap does not reach it
+BRACE_SEARCH_BOUND = 6
 
 
 @dataclass(frozen=True)

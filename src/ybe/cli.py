@@ -65,14 +65,11 @@ def cmd_verify(args):
 
 def cmd_permgroup(args):
     s = files.parse_solution(_read(args.file))
-    # the sift declines past the cap before listing, and keeps only the
-    # σ-rows that enlarge the group; when every row is the identity it
-    # keeps none, and the first row lists the trivial group
-    gens = pm.irredundant_generators(s.sigma, cap=args.cap)
-    g = pm.close_group(gens or s.sigma[:1], cap=args.cap)
+    pm.group_order(s.sigma, cap=args.cap)  # declines past the cap before listing
+    g = sol.permutation_group(s, cap=args.cap)
     print(f"order: {g.order}")
     print("generators:")
-    for gen in dict.fromkeys(s.sigma):
+    for gen in g.generators:
         print("  " + " ".join(str(v) for v in gen))
     multiset = g.element_order_multiset()
     print("element orders: " + " ".join(str(v) for v in multiset))

@@ -1,7 +1,9 @@
 """Text formats for solutions and braces.
 
 Solution file: line 1 is m, followed by m lines each holding a degree-m
-permutation as a whitespace-separated image list (row x is σ_x).
+permutation as an image list separated by spaces or tabs (row x is σ_x).
+Only a line feed ends a line; a carriage return before it is dropped, so
+CRLF files parse.
 
 Brace file: line 1 is k, then k rows of the addition table, a blank
 line, then k rows of the multiplication table.
@@ -23,10 +25,12 @@ from .solution import Solution
 
 
 def _content_lines(text):
-    """(line_number, stripped content) for every non-blank, non-comment line."""
+    """(line_number, stripped content) for every non-blank, non-comment
+    line. Only a line feed ends a line and only ASCII spaces and tabs
+    are blank, as only ASCII digits make an integer."""
     out = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for i, raw in enumerate(text.split("\n"), start=1):
+        line = raw.removesuffix("\r").split("#", 1)[0].strip(" \t")
         if line:
             out.append((i, line))
     return out
@@ -35,6 +39,10 @@ def _content_lines(text):
 #: An integer token: ASCII digits with an optional minus sign, and no
 #: underscores, plus sign or non-ASCII digits, which ``int`` also accepts.
 _INTEGER = re.compile(r"-?[0-9]+")
+
+#: A separator of two entries: ASCII spaces and tabs, and not the other
+#: whitespace, such as U+3000 or a form feed, at which ``str.split`` splits.
+_BLANKS = re.compile(r"[ \t]+")
 
 
 def _parse_int(token, lineno, what):
@@ -45,7 +53,7 @@ def _parse_int(token, lineno, what):
 
 def _parse_row(lineno, line, width, what):
     """A row of ``width`` integers, each in [0, width)."""
-    tokens = line.split()
+    tokens = _BLANKS.split(line)
     if len(tokens) != width:
         raise ParseError(
             f"{what}: expected {width} entries, got {len(tokens)}", line=lineno
@@ -64,7 +72,7 @@ def _parse_header(text, what):
     if not lines:
         raise ParseError("empty file")
     lineno, header = lines[0]
-    tokens = header.split()
+    tokens = _BLANKS.split(header)
     if len(tokens) != 1:
         raise ParseError(f"expected a single {what} on the first line", line=lineno)
     value = _parse_int(tokens[0], lineno, what)

@@ -16,7 +16,9 @@ from .errors import SizeCapExceeded
 
 Perm = tuple[int, ...]
 
-#: Default cap on closure size.
+#: Default cap, in group elements, on what close_group lists and
+#: group_order counts. --cap does not reach it: every command passes its
+#: own --cap in its place.
 DEFAULT_CAP = 10**6
 
 
@@ -87,8 +89,9 @@ def all_perms(m: int):
 class GeneratedGroup:
     """The subgroup of Sym_m generated by a list of permutations.
 
-    ``elements`` is the full closure in a deterministic breadth-first
-    order starting from the identity, applying generators in input order.
+    ``generators`` holds every input. ``elements`` is the full closure in
+    ``close_group``'s order of discovery: the identity, the rest of the
+    group of the first generator, then what each later generator adds.
     """
 
     generators: tuple[Perm, ...]
@@ -120,28 +123,34 @@ def _cap_exceeded(cap: int) -> SizeCapExceeded:
 
 
 def close_group(generators, cap: int = DEFAULT_CAP) -> GeneratedGroup:
-    """Close a nonempty generator list under composition.
+    """Close a nonempty generator list under composition (Dimino's method).
 
-    The elements are kept in one insertion-ordered dict, so their order
-    is the breadth-first order of discovery. Finite order makes
+    The elements are kept in one insertion-ordered dict, in order of
+    discovery. The generators are taken in input order, and one already
+    listed lies in the group of those before it and is skipped. Any other
+    extends the closed group, as ``_extend`` grows an orbit: each listed
+    element takes one step by it, and each new element every kept step.
+    So the walk takes |G|·|S| steps for the set S of generators that
+    enlarge the group G, and |S| ≤ log₂|G| (Lagrange). Finite order makes
     inverse-closure automatic. Raises SizeCapExceeded if the closure
     grows past ``cap``.
     """
     gens = _generators(generators)
-    steps = [_right_multiplier(g) for g in gens]
     elements = {identity(len(gens[0])): None}
-    frontier = list(elements)
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for step in steps:
+    steps = []
+    for g in gens:
+        if g in elements:
+            continue
+        steps.append(_right_multiplier(g))
+        pending = [(e, steps[-1:]) for e in elements]
+        for e, xs in pending:
+            for step in xs:
                 c = step(e)
                 if c not in elements:
                     elements[c] = None
-                    nxt.append(c)
+                    pending.append((c, steps))
                     if len(elements) > cap:
                         raise _cap_exceeded(cap)
-        frontier = nxt
     return GeneratedGroup(generators=tuple(gens), elements=tuple(elements))
 
 
@@ -160,35 +169,18 @@ def group_order(generators, cap: int = DEFAULT_CAP) -> int:
     SizeCapExceeded (with close_group's message) is raised exactly when
     the order exceeds ``cap``.
     """
-    return math.prod(map(len, _sift(generators, cap)[0][2]))
-
-
-def irredundant_generators(generators, cap: int = DEFAULT_CAP) -> list[Perm]:
-    """The distinct generators, in input order, that each lie outside the
-    group generated by the ones before them, as ``group_order``'s sift
-    finds them; they generate the same group. Each one at least doubles
-    the group (Lagrange), so there are at most log₂ of its order of
-    them, and none when every generator is the identity. Raises
-    SizeCapExceeded exactly as ``group_order`` does."""
-    return _sift(generators, cap)[1]
-
-
-def _sift(generators, cap: int):
-    """(chain, kept): the stabilizer chain of a nonempty generator list,
-    built by inserting its distinct generators in input order, and
-    those of them that extended it."""
-    gens = _generators(dict.fromkeys(map(tuple, generators)))
     chain = ([], [], [])  # per level: base point, strong generators, orbit
-    return chain, [g for g in gens if _insert(chain, g, 0, cap)]
+    for g in _generators(dict.fromkeys(map(tuple, generators))):
+        _insert(chain, g, 0, cap)
+    return math.prod(map(len, chain[2]))
 
 
-def _insert(chain, g: Perm, top: int, cap: int) -> bool:
+def _insert(chain, g: Perm, top: int, cap: int) -> None:
     """Sift g through the levels from ``top`` on. A residue other than the
     identity fixes the base points above the level where it stopped; it
     becomes a strong generator of that level and of every level up to
     ``top``, deepest first, so each level is closed over a complete
-    deeper chain. Returns whether the chain was extended, that is,
-    whether g lay outside the group of the levels from ``top`` on."""
+    deeper chain."""
     points, _, orbits = chain
     for level in range(top, len(points)):
         rep = orbits[level].get(g[points[level]])
@@ -197,11 +189,10 @@ def _insert(chain, g: Perm, top: int, cap: int) -> bool:
         g = compose(rep[1], g)
     else:
         if g == identity(len(g)):
-            return False
+            return
         level = len(points)
     for i in range(level, top - 1, -1):
         _extend(chain, g, i, cap)
-    return True
 
 
 def _extend(chain, g: Perm, i: int, cap: int) -> None:
@@ -255,8 +246,9 @@ def groups_isomorphic(g: GeneratedGroup, h: GeneratedGroup):
         by_order.setdefault(perm_order(e), []).append(e)
 
     def build(images):
-        # extend the generator images along g's breadth-first order, in
-        # which each element is mapped before anything is reached from it
+        # extend the generator images along g's order of discovery: each
+        # element is reached from an earlier one by a generator, so it is
+        # mapped before it is visited
         phi = {g.elements[0]: h.elements[0]}  # close_group lists the identity first
         for a in g.elements:
             for x, img in zip(gens, images):

@@ -18,6 +18,7 @@ import enum
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from . import perm as pm
@@ -26,7 +27,10 @@ from .errors import SizeCapExceeded
 from .perm import Perm
 from .solution import Solution
 
-#: Default cap on the power-solution degree mⁿ.
+#: Default cap on the power-solution degree mⁿ, in points (kⁿ tuples for
+#: eq. 3.1). It is --cap's default, and --cap replaces it, also as the cap
+#: in group elements of permgroup and of power's base group; f_map and
+#: psi_perm, which no command calls, always use it.
 DEFAULT_POWER_CAP = 4096
 
 
@@ -62,10 +66,15 @@ def check_degree(m: int, n: int, cap: int) -> None:
 
 def check_tuple(m: int, tup) -> None:
     """Raise ValueError unless ``tup`` is a nonempty tuple of points of
-    {0,...,m-1}: the one check of an n-tuple passed in from outside."""
+    {0,...,m-1}, integers or bools: the one check of an n-tuple passed
+    in from outside."""
     if not tup:
         raise ValueError("tuples must not be empty")
     for x in tup:
+        try:
+            operator.index(x)
+        except TypeError:
+            raise ValueError(f"tuple contains a non-integer entry: {list(tup)}") from None
         if not 0 <= x < m:
             raise ValueError(f"tuple entry {x} out of range for m={m}")
 

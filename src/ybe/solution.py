@@ -9,6 +9,7 @@ derived on first read, never user-supplied, via γ_y(x) = σ⁻¹_{σ_x(y)}(x)
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,6 +25,7 @@ AXIOMS = (
     "braid_sigma_condition",
 )
 
+# Fixed bounds in points m; --cap does not reach them
 ENUMERATION_BOUND = 4  # largest m that enumerate_solutions searches
 REPORT_BOUND_M = 256  # largest m whose rejection from_sigma reports, in O(m³)
 ISOMORPHISM_CAP_M = 8  # largest m whose m! relabelings are tried
@@ -72,6 +74,16 @@ def derive_gamma(sigma) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _integer_row(row, x, error) -> tuple[int, ...]:
+    """Row x of a σ-table frozen into ints, bools included; ``error`` is
+    raised on any other entry."""
+    row = tuple(row)
+    try:
+        return tuple(map(operator.index, row))
+    except TypeError:
+        raise error(f"sigma[{x}] contains a non-integer entry: {list(row)}") from None
+
+
 def _r(sigma, gamma, x, y):
     return sigma[x][y], gamma[y][x]
 
@@ -79,14 +91,15 @@ def _r(sigma, gamma, x, y):
 def verify_tables(sigma) -> VerifyReport:
     """Check all five axioms, γ derived from σ, by exhaustive loops.
 
-    ``sigma`` holds m ≥ 1 rows of m entries each, all in {0,...,m-1};
-    the rows need not be bijections. Any other table raises ValueError.
-    For every such table a report is returned. The braid relation is
+    ``sigma`` holds m ≥ 1 rows of m integer entries each, all in
+    {0,...,m-1}; the rows need not be bijections. Any other table raises
+    ValueError. For every such table a report is returned. The braid relation is
     checked directly in O(N³), apart from the σ-condition search that
     ``from_sigma`` accepts by."""
     if not sigma:
         raise ValueError("empty sigma table")
     m = len(sigma)
+    sigma = [_integer_row(row, x, ValueError) for x, row in enumerate(sigma)]
     for x, row in enumerate(sigma):
         if len(row) != m or not all(0 <= v < m for v in row):
             raise ValueError(f"sigma[{x}] = {list(row)} is not a map of {{0,...,{m - 1}}}")
@@ -173,7 +186,7 @@ def from_sigma(sigmas) -> Solution:
     m = len(sigmas)
     sigma = []
     for x, row in enumerate(sigmas):
-        row = tuple(row)
+        row = _integer_row(row, x, AxiomError)
         if len(row) != m or not pm.is_perm(row):
             raise AxiomError(
                 f"sigma[{x}] = {list(row)} is not a bijection of degree {m}",

@@ -431,8 +431,9 @@ class TestPermgroup:
                 ), s.sigma
 
     def test_o8x4_lists_over_the_kept_rows(self, capsys, monkeypatch, tmp_path, o8):
-        # the sift keeps 8 of the 16 σ-rows and checks the cap itself; one
-        # closure lists the group over those 8
+        # group_order checks the cap, and one closure over the 16 distinct
+        # σ-rows lists the group; it steps by only the 8 that enlarge it
+        # (TestIrredundantGenerators in test_perm.py)
         closures = count_calls(monkeypatch, pm, "close_group")
         orders = count_calls(monkeypatch, pm, "group_order")
         listings = count_calls(monkeypatch, sol, "permutation_group")
@@ -441,8 +442,8 @@ class TestPermgroup:
         code, out, _ = run(capsys, "permgroup", str(p))
         assert (code, out.splitlines()[:2]) == (0, ["order: 4096", "generators:"])
         assert len(out.splitlines()) == 19  # the 16 distinct rows
-        assert [len(gens) for gens, *_ in closures] == [8]
-        assert orders == listings == []
+        assert [len(gens) for gens, *_ in closures] == [16]
+        assert len(orders) == len(listings) == 1
 
     def test_past_cap_declines_before_listing(self, capsys, monkeypatch, tmp_path, o8):
         # O8⁵ has order 8⁵, past the default cap of 4096

@@ -94,6 +94,32 @@ def test_integers_are_ascii_digits(text, message):
         files.parse_solution(text)
     assert str(exc.value) == message
 
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        # str.split and str.splitlines also split at these
+        ("2\n1\u30000\n1 0\n", "line 2: sigma[0]: expected 2 entries, got 1"),
+        ("2\n0 1\x0c1 0\nx y\n", "line 2: sigma[0]: expected 2 entries, got 3"),
+        ("2\n1 0\u20281 0\n1 0\n", "line 2: sigma[0]: expected 2 entries, got 3"),
+        ("2\n1 0\x1c1 0\n1 0\n", "line 2: sigma[0]: expected 2 entries, got 3"),
+        ("2\n1 0\x0c\n1 0\n", "line 2: sigma[0]: not an integer: '0\\x0c'"),
+    ],
+)
+def test_blanks_are_ascii_spaces_and_tabs(text, message):
+    with pytest.raises(ParseError) as exc:
+        files.parse_solution(text)
+    assert str(exc.value) == message
+
+
+def test_crlf_and_tabs_accepted():
+    for text in ("2\r\n1 0\r\n1 0\r\n", "# c\r\n 2\t\r\n1\t 0 # x\r\n\r\n\t1  0"):
+        assert files.parse_solution(text).sigma == ((1, 0), (1, 0))
+    with pytest.raises(ParseError) as exc:
+        files.parse_solution("2\r\n0 1\r\nx y\r\n")
+    assert str(exc.value) == "line 3: sigma[1]: not an integer: 'x'"
+
+
 class TestEmitSolution:
     def test_trivial_canonical(self):
         assert files.emit_solution(sol.trivial(2)) == "2\n0 1\n0 1\n"

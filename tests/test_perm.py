@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -127,9 +128,8 @@ class TestNonIntegerImages:
             pm.close_group([(1.0, 0)])
 
     def test_group_order(self):
-        for sift in (pm.group_order, pm.irredundant_generators):
-            with pytest.raises(ValueError, match="^images must be integers"):
-                sift([(1.0, 0)])
+        with pytest.raises(ValueError, match="^images must be integers"):
+            pm.group_order([(1.0, 0)])
 
 
 class TestCloseGroup:
@@ -197,15 +197,15 @@ class TestCloseGroup:
         assert pm.close_group([(0,)]).elements == ((0,),)
         assert pm.perm_order((0,)) == 1
 
-    def test_breadth_first_order_pinned(self):
-        # identity first, then each frontier element times the
-        # generators in input order
+    def test_discovery_order_pinned(self):
+        # the group of the first generator from the identity on, then
+        # each element listed so far times the second
         g = pm.close_group([(1, 2, 0), (1, 0, 2)])
         assert g.elements == (
             (0, 1, 2),
             (1, 2, 0),
-            (1, 0, 2),
             (2, 0, 1),
+            (1, 0, 2),
             (2, 1, 0),
             (0, 2, 1),
         )
@@ -257,11 +257,6 @@ class TestGroupOrder:
                 pm.group_order(gens, cap=order - 1)
             assert str(sims.value) == str(closure.value)
             assert str(sims.value) == f"group closure exceeded cap of {order - 1} elements"
-            # the sift that keeps the generators checks the same cap
-            assert pm.irredundant_generators(gens, cap=order)
-            with pytest.raises(SizeCapExceeded) as sift:
-                pm.irredundant_generators(gens, cap=order - 1)
-            assert str(sift.value) == str(closure.value)
 
     def test_degree_one_and_identity(self):
         assert pm.group_order([(0,)]) == 1
@@ -274,14 +269,12 @@ class TestGroupOrder:
         assert pm.group_order([cycle, swap], cap=10**9) == math.factorial(12)
 
     def test_degree_mismatch(self):
-        for sift in (pm.group_order, pm.irredundant_generators):
-            with pytest.raises(ValueError):
-                sift([(1, 0), (1, 2, 0)])
+        with pytest.raises(ValueError):
+            pm.group_order([(1, 0), (1, 2, 0)])
 
     def test_empty_generators(self):
-        for sift in (pm.group_order, pm.irredundant_generators):
-            with pytest.raises(ValueError):
-                sift([])
+        with pytest.raises(ValueError):
+            pm.group_order([])
 
 
 def generator_lists():
@@ -292,25 +285,39 @@ def generator_lists():
     )
 
 
+def listed_with_steps(gens):
+    """close_group(gens) and the generators it took a step by, one
+    ``_right_multiplier`` call each."""
+    stepped = []
+    real = pm._right_multiplier
+    with mock.patch.object(pm, "_right_multiplier", lambda g: stepped.append(g) or real(g)):
+        return pm.close_group(gens), stepped
+
+
 def check_irredundant(gens):
-    """The sift's kept generators against close_group, the oracle."""
-    distinct = list(dict.fromkeys(gens))
-    kept = pm.irredundant_generators(gens)
-    remaining = iter(distinct)
-    assert all(g in remaining for g in kept)  # a subsequence of the distinct inputs
-    before = {pm.identity(len(gens[0]))}
-    for i, g in enumerate(kept):
-        if i:
-            before = set(pm.close_group(kept[:i]).elements)
-        assert g not in before
-    elements = set(pm.close_group(distinct).elements)
-    # with no generator kept, every input is the identity
-    assert set(pm.close_group(kept or distinct[:1]).elements) == elements
-    assert 2 ** len(kept) <= len(elements)
-    assert pm.group_order(kept or distinct[:1]) == pm.group_order(gens) == len(elements)
+    """close_group's listing against the all-generator closure, and the
+    generators it extends the group by against group_order; returns
+    those generators."""
+    g, stepped = listed_with_steps(gens)
+    elements = pointwise_closure(gens)
+    assert set(g.elements) == elements and g.order == len(elements)
+    assert g.generators == tuple(gens)
+    # each element after the identity is an earlier one times a generator
+    assert g.elements[0] == pm.identity(len(gens[0]))
+    index = {e: i for i, e in enumerate(g.elements)}
+    for i, e in enumerate(g.elements[1:], start=1):
+        assert any(index[pm.compose(e, pm.inverse(x))] < i for x in gens), e
+    # one step per generator outside the group of those before it
+    orders = [1] + [pm.group_order(gens[: i + 1]) for i in range(len(gens))]
+    assert stepped == [x for i, x in enumerate(gens) if orders[i + 1] > orders[i]]
+    assert 2 ** len(stepped) <= g.order == pm.group_order(gens)
+    return stepped
 
 
 class TestIrredundantGenerators:
+    # close_group extends the group only by the generators outside the
+    # group of those before it, and lists the same group as a walk over all
+
     @given(generator_lists())
     def test_random_generators(self, gens):
         check_irredundant(gens)
@@ -336,13 +343,20 @@ class TestIrredundantGenerators:
             checked += 1
 
     def test_identity_and_repeats(self):
-        assert pm.irredundant_generators([pm.identity(5)] * 3) == []
-        assert pm.irredundant_generators([(0,)]) == []
-        assert pm.irredundant_generators([(1, 0), (1, 0), (0, 1)]) == [(1, 0)]
-        # a generator of the group before it is dropped, later ones kept
-        assert pm.irredundant_generators([(1, 2, 0), (2, 0, 1), (1, 0, 2)]) == [
-            (1, 2, 0), (1, 0, 2)
-        ]
+        for gens, stepped in (
+            ([pm.identity(5)] * 3, []),
+            ([(0,)], []),
+            ([(1, 0), (1, 0), (0, 1)], [(1, 0)]),
+            # a generator of the group before it is skipped, later ones kept
+            ([(1, 2, 0), (2, 0, 1), (1, 0, 2)], [(1, 2, 0), (1, 0, 2)]),
+        ):
+            assert check_irredundant(gens) == stepped
+
+    def test_o8x4_steps_by_eight_of_sixteen_rows(self):
+        o8 = sol.from_sigma([(0, 1, 3, 2), (2, 3, 1, 0), (3, 2, 0, 1), (1, 0, 2, 3)])
+        rows = sol.disjoint_union([o8] * 4).sigma
+        g, stepped = listed_with_steps(rows)
+        assert (len(rows), len(stepped), g.order) == (16, 8, 4096)
 
 
 def q8_left_regular(a):

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import re
 
 import pytest
 
@@ -134,6 +135,16 @@ class TestFMap:
             pw.f_map(swap2, (0, 2))
         with pytest.raises(ValueError):
             pw.f_map(swap2, (-1, 0))
+
+    def test_non_integer_entry(self, swap2):
+        # checked before the entry is compared or used as an index
+        for xbar in ((1.0,), (0, "1")):
+            message = f"^tuple contains a non-integer entry: {re.escape(str(list(xbar)))}$"
+            with pytest.raises(ValueError, match=message):
+                pw.check_tuple(2, xbar)
+            with pytest.raises(ValueError, match=message):
+                pw.f_map(swap2, xbar)
+        pw.check_tuple(2, (True, False))
 
     def test_equals_psi_of_product_everywhere(self, corpus):
         for s in corpus:

@@ -1,9 +1,11 @@
 import dataclasses
 import gc
 import itertools
+import re
 
 import pytest
 
+from ybe import files
 from ybe import perm as pm
 from ybe import power as pw
 from ybe import solution as sol
@@ -61,6 +63,17 @@ class TestFromSigma:
     def test_non_bijective_row_rejected(self):
         with pytest.raises(AxiomError):
             sol.from_sigma([(0, 0), (0, 1)])
+
+    def test_non_integer_entries(self):
+        # bools are frozen into ints, so the table emits and parses back;
+        # a float or string entry is an axiom error, not a TypeError
+        s = sol.from_sigma([[1, 0], [True, False]])
+        assert s.sigma == ((1, 0), (1, 0)) and type(s.sigma[1][0]) is int
+        assert files.parse_solution(files.emit_solution(s)) == s
+        for row, shown in (((1.0, 0), "[1.0, 0]"), ([0, "1"], "[0, '1']")):
+            message = f"sigma[1] contains a non-integer entry: {shown}"
+            with pytest.raises(AxiomError, match=f"^{re.escape(message)}$"):
+                sol.from_sigma([(1, 0), row])
 
     def test_empty_rejected(self):
         # an empty table passes the gate and the Solution constructor raises
@@ -164,6 +177,13 @@ class TestVerify:
             sol.verify_tables([(0, 1)])
         with pytest.raises(ValueError):
             sol.verify_tables([(0, 1), (0,)])
+
+    def test_non_integer_entry_raises(self):
+        message = "sigma[0] contains a non-integer entry: [1.0, 0.0]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as e:
+            sol.verify_tables([(1.0, 0.0), (1, 0)])
+        assert not isinstance(e.value, AxiomError)
+        assert sol.verify_tables([(True, False), (1, 0)]).all_ok
 
     def test_entry_out_of_range_raises(self):
         with pytest.raises(ValueError):
