@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 
 from . import perm as pm
@@ -54,25 +53,6 @@ class LambdaTable:
     table: tuple[Perm, ...]   # table[a] is λ_a
 
 
-def _freeze_table(table, k, what):
-    rows = []
-    for a, row in enumerate(table):
-        row = tuple(row)
-        try:
-            row = tuple(map(operator.index, row))
-        except TypeError:
-            raise AxiomError(f"{what}[{a}] contains a non-integer entry: {list(row)}") from None
-        if len(row) != k:
-            raise AxiomError(f"{what} row {a} has length {len(row)}, expected {k}")
-        for v in row:
-            if not 0 <= v < k:
-                raise AxiomError(f"{what}[{a}] contains out-of-range entry {v}")
-        rows.append(row)
-    if len(rows) != k:
-        raise AxiomError(f"{what} has {len(rows)} rows, expected {k}")
-    return tuple(rows)
-
-
 def _group_inverses(table, what, commutative):
     """Validate a Cayley table as a group with identity 0; return inverses."""
     k = len(table)
@@ -102,8 +82,8 @@ def brace_from_tables(add, mul) -> Brace:
     k = len(add)
     if k < 1:
         raise AxiomError("empty brace is not allowed")
-    add = _freeze_table(add, k, "add")
-    mul = _freeze_table(mul, k, "mul")
+    add = pm.square_table(add, k, "add", AxiomError)
+    mul = pm.square_table(mul, k, "mul", AxiomError)
     neg = _group_inverses(add, "add", commutative=True)
     inv = _group_inverses(mul, "mul", commutative=False)
     for a in range(k):
@@ -203,7 +183,7 @@ def check_eq_3_1(lt: LambdaTable, xbar, ybar) -> bool:
     return True
 
 
-def eq_3_1_failing_sets(lt: LambdaTable, n: int, cap: int = pw.DEFAULT_POWER_CAP) -> dict:
+def eq_3_1_failing_sets(lt: LambdaTable, n: int, cap: int = pm.DEFAULT_CAP) -> dict:
     """Each n-tuple x̄, in code order, to the frozenset of n-tuples ȳ that
     fail eq. 3.1 with it, under the cap on kⁿ. x̄ is read only through its
     key (λ_{x₁}⋯λ_{xₙ}, x₁⋯xₙ): the first from ``power._products``, the

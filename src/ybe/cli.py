@@ -84,7 +84,7 @@ def cmd_power(args):
     pw.check_degree(s.m, args.n, args.cap)
     base_order = pm.group_order(s.sigma, cap=args.cap)
     ps = pw.power_solution(s, args.n, cap=args.cap)
-    a_order, b_order, isomorphic = pw.power_perm_group(ps)
+    a_order, b_order, isomorphic = pw.power_perm_group(ps, cap=args.cap)
     cond = pw.iso_condition(s, base_order, args.n)
     print(f"base group order: {base_order}")
     print(f"power group order: {a_order}")
@@ -159,6 +159,7 @@ def cmd_brace_find(args):
         report = br.check_lambda_properties(lt)
         print(f"  lambda properties: {'pass' if report.all_ok else 'FAIL'}")
         s = sol.from_sigma(lt.table)  # the associated solution
+        # under the default cap: a λ-group of order k ≤ 6 has at most 6! = 720 elements
         print(f"  associated solution verifies: yes (group order {pm.group_order(s.sigma)})")
     return EXIT_OK
 
@@ -208,7 +209,7 @@ def build_parser():
     parser.add_argument(
         "--cap",
         type=int,
-        default=pw.DEFAULT_POWER_CAP,
+        default=pm.DEFAULT_CAP,
         help="size cap on constructed degrees and closures (default %(default)s)",
     )
     sub = parser.add_subparsers(dest="command", required=True)

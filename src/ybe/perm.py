@@ -2,7 +2,8 @@
 
 A permutation is a plain tuple of images: ``p[i]`` is the image of ``i``.
 The composition convention throughout the package is
-``compose(p, q)(i) = p(q(i))`` (q acts first).
+``compose(p, q)(i) = p(q(i))`` (q acts first). ``integers`` and
+``square_table`` check every row and table passed in from outside.
 """
 
 from __future__ import annotations
@@ -16,23 +17,50 @@ from .errors import SizeCapExceeded
 
 Perm = tuple[int, ...]
 
-#: Default cap, in group elements, on what close_group lists and
-#: group_order counts. --cap does not reach it: every command passes its
-#: own --cap in its place.
-DEFAULT_CAP = 10**6
+#: The one default size cap: in group elements for close_group and
+#: group_order, in points mⁿ (kⁿ tuples for eq. 3.1) for power. It is
+#: --cap's default; every command passes its --cap in its place but
+#: brace find, whose λ-groups have at most 6! = 720 elements.
+DEFAULT_CAP = 4096
 
 
 def is_perm(images) -> bool:
     return sorted(images) == list(range(len(images)))
 
 
+def integers(entries, what, error=ValueError) -> tuple[int, ...]:
+    """``entries`` frozen into a tuple of ints, bools included: the one
+    check of the entries of a row passed in from outside. ``error`` is
+    raised on any other entry."""
+    entries = tuple(entries)
+    try:
+        return tuple(map(operator.index, entries))
+    except TypeError:
+        raise error(f"{what} contains a non-integer entry: {list(entries)}") from None
+
+
+def square_table(rows, k, what, error=ValueError) -> tuple[tuple[int, ...], ...]:
+    """A table of k rows of k points of {0,...,k-1} each, frozen row by
+    row by ``integers``: the one check of a square table passed in from
+    outside. ``error`` is raised on the first row that is not such a
+    row, then on a wrong row count."""
+    table = []
+    for a, row in enumerate(rows):
+        row = integers(row, f"{what}[{a}]", error)
+        if len(row) != k:
+            raise error(f"{what} row {a} has length {len(row)}, expected {k}")
+        for v in row:
+            if not 0 <= v < k:
+                raise error(f"{what}[{a}] contains out-of-range entry {v}")
+        table.append(row)
+    if len(table) != k:
+        raise error(f"{what} has {len(table)} rows, expected {k}")
+    return tuple(table)
+
+
 def perm(images) -> Perm:
     """Validate and freeze an image sequence into a Perm of ints."""
-    p = tuple(images)
-    try:
-        p = tuple(map(operator.index, p))
-    except TypeError:
-        raise ValueError(f"images must be integers: {list(p)}") from None
+    p = integers(images, "image list")
     if not p:
         raise ValueError("empty image list (degree 0 is not allowed)")
     if not is_perm(p):
@@ -106,8 +134,13 @@ class GeneratedGroup:
         return tuple(sorted(perm_order(e) for e in self.elements))
 
 
-def _generators(generators) -> list[Perm]:
-    """Validate a nonempty generator list of one degree."""
+def _cap_exceeded(cap: int) -> SizeCapExceeded:
+    return SizeCapExceeded(f"group closure exceeded cap of {cap} elements")
+
+
+def _generators(generators, cap: int) -> list[Perm]:
+    """Validate a nonempty generator list of one degree, then the cap:
+    every group holds its identity, so a cap below 1 is exceeded."""
     gens = [perm(g) for g in generators]
     if not gens:
         raise ValueError("need at least one generator")
@@ -115,11 +148,9 @@ def _generators(generators) -> list[Perm]:
     for g in gens:
         if len(g) != m:
             raise ValueError(f"degree mismatch among generators: {m} vs {len(g)}")
+    if cap < 1:
+        raise _cap_exceeded(cap)
     return gens
-
-
-def _cap_exceeded(cap: int) -> SizeCapExceeded:
-    return SizeCapExceeded(f"group closure exceeded cap of {cap} elements")
 
 
 def close_group(generators, cap: int = DEFAULT_CAP) -> GeneratedGroup:
@@ -135,7 +166,7 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> GeneratedGroup:
     inverse-closure automatic. Raises SizeCapExceeded if the closure
     grows past ``cap``.
     """
-    gens = _generators(generators)
+    gens = _generators(generators, cap)
     elements = {identity(len(gens[0])): None}
     steps = []
     for g in gens:
@@ -170,7 +201,7 @@ def group_order(generators, cap: int = DEFAULT_CAP) -> int:
     the order exceeds ``cap``.
     """
     chain = ([], [], [])  # per level: base point, strong generators, orbit
-    for g in _generators(dict.fromkeys(map(tuple, generators))):
+    for g in _generators(dict.fromkeys(map(tuple, generators)), cap):
         _insert(chain, g, 0, cap)
     return math.prod(map(len, chain[2]))
 

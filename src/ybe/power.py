@@ -9,7 +9,7 @@ tests and never used to build the table.
 
 Xⁿ is identified with {0,...,mⁿ-1} in one place, ``_codes``: lex order
 with x₁ most significant. Every n-tuple passed in is checked by
-``check_tuple``.
+``check_tuple``, and every exponent by ``check_degree``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import enum
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 from . import perm as pm
@@ -26,12 +25,6 @@ from . import solution as sol
 from .errors import SizeCapExceeded
 from .perm import Perm
 from .solution import Solution
-
-#: Default cap on the power-solution degree mⁿ, in points (kⁿ tuples for
-#: eq. 3.1). It is --cap's default, and --cap replaces it, also as the cap
-#: in group elements of permgroup and of power's base group; f_map and
-#: psi_perm, which no command calls, always use it.
-DEFAULT_POWER_CAP = 4096
 
 
 class IsoCondition(enum.Enum):
@@ -49,12 +42,16 @@ class PowerSolution:
 
 
 def check_degree(m: int, n: int, cap: int) -> None:
-    """Raise SizeCapExceeded when the degree mⁿ exceeds ``cap``.
+    """Raise ValueError when the exponent n is below 1, and
+    SizeCapExceeded when the degree mⁿ exceeds ``cap``: the one check of
+    an exponent passed in from outside.
 
     The product stops as soon as it passes the cap, so a huge n is
     declined without building mⁿ. The degree counts as max(m, 2)ⁿ, so
     that a 1-point base also bounds n.
     """
+    if n < 1:
+        raise ValueError(f"exponent must be at least 1, got {n}")
     size = 1
     for _ in range(n):
         if size > cap:
@@ -70,11 +67,7 @@ def check_tuple(m: int, tup) -> None:
     in from outside."""
     if not tup:
         raise ValueError("tuples must not be empty")
-    for x in tup:
-        try:
-            operator.index(x)
-        except TypeError:
-            raise ValueError(f"tuple contains a non-integer entry: {list(tup)}") from None
+    for x in pm.integers(tup, "tuple"):
         if not 0 <= x < m:
             raise ValueError(f"tuple entry {x} out of range for m={m}")
 
@@ -105,9 +98,9 @@ def psi_apply(sigma_table, tau: Perm, ybar) -> tuple[int, ...]:
 
 def psi_perm(sigma_table, tau: Perm, n: int) -> Perm:
     """The embedded permutation as a Perm of degree mⁿ, under the
-    default degree cap."""
+    default cap ``perm.DEFAULT_CAP`` on the degree."""
     m = len(tau)
-    check_degree(m, n, DEFAULT_POWER_CAP)
+    check_degree(m, n, pm.DEFAULT_CAP)
     codes = _codes(m, n)
     return tuple(codes[psi_apply(sigma_table, tau, ybar)] for ybar in codes)
 
@@ -156,16 +149,16 @@ def _products(rows, n: int) -> tuple[Perm, ...]:
 
 def f_map(s: Solution, xbar) -> Perm:
     """The permutation f_x̄ of degree mⁿ, n = len(x̄), from the h_j
-    recursion, under the default degree cap."""
+    recursion, under the default cap ``perm.DEFAULT_CAP`` on the degree."""
     n = len(xbar)
     check_tuple(s.m, xbar)
-    check_degree(s.m, n, DEFAULT_POWER_CAP)
+    check_degree(s.m, n, pm.DEFAULT_CAP)
     inv = [pm.inverse(p) for p in s.sigma]
     product = functools.reduce(pm.compose, [s.sigma[x] for x in xbar])
     return _f_row(s.sigma, inv, product, _codes(s.m, n))
 
 
-def power_solution(s: Solution, n: int, cap: int = DEFAULT_POWER_CAP) -> PowerSolution:
+def power_solution(s: Solution, n: int, cap: int = pm.DEFAULT_CAP) -> PowerSolution:
     """Build (Xⁿ, r⁽ⁿ⁾) with σ-table {f_x̄}, fully verified; x-products by ``_products``."""
     if n < 2:
         raise ValueError("exponent must be at least 2")
@@ -177,7 +170,7 @@ def power_solution(s: Solution, n: int, cap: int = DEFAULT_POWER_CAP) -> PowerSo
     return PowerSolution(sol.from_sigma(sigma), products)
 
 
-def power_perm_group(ps: PowerSolution):
+def power_perm_group(ps: PowerSolution, cap: int = pm.DEFAULT_CAP):
     """(|A|, |B|, isomorphic): A the permutation group of the power
     solution, B the subgroup of Sym_m generated by all products
     σ_{x₁}⋯σ_{xₙ}, and whether the pairing f_x̄ ↦ σ_{x₁}⋯σ_{xₙ} extends
@@ -185,12 +178,13 @@ def power_perm_group(ps: PowerSolution):
 
     The pairs (f_x̄, σ_{x₁}⋯σ_{xₙ}) generate a subgroup D of A × B whose
     projections are A and B, so D is the graph of an isomorphism exactly
-    when |D| = |A| = |B|; three orders check the paper's claim."""
+    when |D| = |A| = |B|; three orders check the paper's claim. Raises
+    SizeCapExceeded when an order exceeds ``cap``."""
     deg = ps.result.m
     pairs = dict.fromkeys(zip(ps.result.sigma, ps.products))
-    d_order = pm.group_order([f + tuple(deg + v for v in p) for f, p in pairs])
-    a_order = pm.group_order(f for f, _ in pairs)
-    b_order = pm.group_order(p for _, p in pairs)
+    d_order = pm.group_order([f + tuple(deg + v for v in p) for f, p in pairs], cap)
+    a_order = pm.group_order((f for f, _ in pairs), cap)
+    b_order = pm.group_order((p for _, p in pairs), cap)
     return a_order, b_order, d_order == a_order == b_order
 
 

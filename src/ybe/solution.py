@@ -9,7 +9,6 @@ derived on first read, never user-supplied, via γ_y(x) = σ⁻¹_{σ_x(y)}(x)
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -74,16 +73,6 @@ def derive_gamma(sigma) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _integer_row(row, x, error) -> tuple[int, ...]:
-    """Row x of a σ-table frozen into ints, bools included; ``error`` is
-    raised on any other entry."""
-    row = tuple(row)
-    try:
-        return tuple(map(operator.index, row))
-    except TypeError:
-        raise error(f"sigma[{x}] contains a non-integer entry: {list(row)}") from None
-
-
 def _r(sigma, gamma, x, y):
     return sigma[x][y], gamma[y][x]
 
@@ -93,16 +82,13 @@ def verify_tables(sigma) -> VerifyReport:
 
     ``sigma`` holds m ≥ 1 rows of m integer entries each, all in
     {0,...,m-1}; the rows need not be bijections. Any other table raises
-    ValueError. For every such table a report is returned. The braid relation is
-    checked directly in O(N³), apart from the σ-condition search that
-    ``from_sigma`` accepts by."""
+    ValueError, from ``perm.square_table``. For every such table a report
+    is returned. The braid relation is checked directly in O(N³), apart
+    from the σ-condition search that ``from_sigma`` accepts by."""
     if not sigma:
         raise ValueError("empty sigma table")
     m = len(sigma)
-    sigma = [_integer_row(row, x, ValueError) for x, row in enumerate(sigma)]
-    for x, row in enumerate(sigma):
-        if len(row) != m or not all(0 <= v < m for v in row):
-            raise ValueError(f"sigma[{x}] = {list(row)} is not a map of {{0,...,{m - 1}}}")
+    sigma = pm.square_table(sigma, m, "sigma")
     gamma = derive_gamma(sigma)
     points = range(m)
     pairs = itertools.product(points, repeat=2)
@@ -186,7 +172,7 @@ def from_sigma(sigmas) -> Solution:
     m = len(sigmas)
     sigma = []
     for x, row in enumerate(sigmas):
-        row = _integer_row(row, x, AxiomError)
+        row = pm.integers(row, f"sigma[{x}]", AxiomError)
         if len(row) != m or not pm.is_perm(row):
             raise AxiomError(
                 f"sigma[{x}] = {list(row)} is not a bijection of degree {m}",

@@ -351,6 +351,13 @@ class TestEq31:
             br.eq_3_1_failing_sets(lt, 3, cap=63)
         assert sum(map(len, br.eq_3_1_failing_sets(lt, 3, cap=64).values())) == 0
 
+    def test_exponent_below_one(self, brace_z4):
+        # power.check_degree declines n < 1 before any tuple is built
+        lt = br.lambda_table(brace_z4)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=f"^exponent must be at least 1, got {n}$"):
+                br.eq_3_1_failing_sets(lt, n)
+
 
 class TestFindBraces:
     def test_k2_exactly_one(self):

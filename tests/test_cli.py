@@ -243,7 +243,7 @@ class TestPower:
         assert "isomorphic: yes" in out
 
     def test_not_isomorphic_prints_no(self, capsys, monkeypatch, swap2_file):
-        monkeypatch.setattr(pw, "power_perm_group", lambda ps: (2, 1, False))
+        monkeypatch.setattr(pw, "power_perm_group", lambda ps, cap: (2, 1, False))
         code, out, _ = run(capsys, "power", swap2_file, "3")
         assert code == 0
         assert "isomorphic: no" in out
@@ -371,6 +371,18 @@ class TestPower:
         ):
             assert run(capsys, *argv) == (3, "", err)
         assert calls == []
+
+    def test_power_groups_counted_under_cap(self, capsys, tmp_path, o8):
+        # O8⁴ ⊔ C3 at n=2: base and power groups of order 12288, past the
+        # default cap; --cap 12288 reaches all four counts
+        path = tmp_path / "o8x4c3.txt"
+        c3 = sol.from_sigma([(1, 2, 0)] * 3)
+        path.write_text(files.emit_solution(sol.disjoint_union([o8] * 4 + [c3])))
+        stdout = (
+            "base group order: 12288\npower group order: 12288\n"
+            "product subgroup order: 12288\nclassification: NoGuarantee\nisomorphic: yes\n"
+        )
+        assert run(capsys, "--cap", "12288", "power", str(path), "2") == (0, stdout, "")
 
 
 class TestPermgroup:

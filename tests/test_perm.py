@@ -117,18 +117,19 @@ class TestComposeKernel:
 class TestNonIntegerImages:
     # an image that is not an integer is rejected by perm() at each entry
     # point, rather than failing as an index inside the composition kernel
+    message = r"^image list contains a non-integer entry: \[1\.0, 0\]$"
 
     def test_perm(self):
-        with pytest.raises(ValueError, match=r"^images must be integers: \[1\.0, 0\]$"):
+        with pytest.raises(ValueError, match=self.message):
             pm.perm((1.0, 0))
         assert pm.perm([True, False]) == (1, 0)
 
     def test_close_group(self):
-        with pytest.raises(ValueError, match="^images must be integers"):
+        with pytest.raises(ValueError, match=self.message):
             pm.close_group([(1.0, 0)])
 
     def test_group_order(self):
-        with pytest.raises(ValueError, match="^images must be integers"):
+        with pytest.raises(ValueError, match=self.message):
             pm.group_order([(1.0, 0)])
 
 
@@ -257,6 +258,15 @@ class TestGroupOrder:
                 pm.group_order(gens, cap=order - 1)
             assert str(sims.value) == str(closure.value)
             assert str(sims.value) == f"group closure exceeded cap of {order - 1} elements"
+
+    def test_cap_below_one(self):
+        # every group holds its identity, so both decline a cap below 1
+        for cap in (0, -1):
+            for count in (pm.close_group, pm.group_order):
+                for gens in ([(0,)], [(1, 0)]):
+                    message = f"^group closure exceeded cap of {cap} elements$"
+                    with pytest.raises(SizeCapExceeded, match=message):
+                        count(gens, cap=cap)
 
     def test_degree_one_and_identity(self):
         assert pm.group_order([(0,)]) == 1

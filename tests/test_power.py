@@ -48,7 +48,8 @@ class TestPsiApply:
             pw.psi_perm(swap2.sigma, (1, 1), 2)
 
     def test_tau_with_non_integer_images(self, swap2):
-        with pytest.raises(ValueError, match=r"^images must be integers: \[1\.0, 0\]$"):
+        message = r"^image list contains a non-integer entry: \[1\.0, 0\]$"
+        with pytest.raises(ValueError, match=message):
             pw.psi_apply(swap2.sigma, (1.0, 0), (0, 0))
 
 
@@ -107,8 +108,9 @@ class TestPsiPerm:
             pw.psi_perm(swap2.sigma, (1, 0), 13)
 
     def test_out_of_range(self, swap2):
-        for n in (0, -1):
-            with pytest.raises(ValueError):
+        # check_degree declines the exponent before any tuple is built
+        for n in (0, -1, -2):
+            with pytest.raises(ValueError, match=f"^exponent must be at least 1, got {n}$"):
                 pw.psi_perm(swap2.sigma, (1, 0), n)
 
 
@@ -308,6 +310,21 @@ class TestPowerPermGroup:
         a_order, b_order, iso = pw.power_perm_group(pw.power_solution(adjoined3, 2))
         assert a_order == 2 and b_order == 2
         assert iso
+
+    def test_cap_on_every_order(self, adjoined3):
+        # raises iff the largest of |D|, |A|, |B| exceeds the cap. O8 at
+        # n=3: all three are 8. A mismatched pairing: |A| = |B| = 2, |D| = 4
+        o8 = sol.from_sigma([(0, 1, 3, 2), (2, 3, 1, 0), (3, 2, 0, 1), (1, 0, 2, 3)])
+        other = sol.from_sigma([(0, 1, 2), (0, 2, 1), (0, 2, 1)])
+        mixed = _paired_with(pw.power_solution(adjoined3, 2), other, 2)
+        for ps, largest, orders in (
+            (pw.power_solution(o8, 3), 8, (8, 8, True)),
+            (mixed, 4, (2, 2, False)),
+        ):
+            message = f"^group closure exceeded cap of {largest - 1} elements$"
+            with pytest.raises(SizeCapExceeded, match=message):
+                pw.power_perm_group(ps, cap=largest - 1)
+            assert pw.power_perm_group(ps, cap=largest) == orders
 
     def test_always_isomorphic_over_corpus(self, corpus):
         # the orders are those of A and B closed on their own; the

@@ -173,9 +173,9 @@ class TestVerify:
             sol.verify_tables([])
 
     def test_row_of_wrong_length_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^sigma row 0 has length 2, expected 1$"):
             sol.verify_tables([(0, 1)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^sigma row 1 has length 1, expected 2$"):
             sol.verify_tables([(0, 1), (0,)])
 
     def test_non_integer_entry_raises(self):
@@ -186,9 +186,9 @@ class TestVerify:
         assert sol.verify_tables([(True, False), (1, 0)]).all_ok
 
     def test_entry_out_of_range_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^sigma\[0\] contains out-of-range entry 5$"):
             sol.verify_tables([(5, 0), (0, 1)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^sigma\[1\] contains out-of-range entry -1$"):
             sol.verify_tables([(0, 1), (-1, 0)])
 
 

@@ -238,6 +238,52 @@ def test_listing_picks_its_own_generators():
     assert found == set()
 
 
+def test_one_entry_check():
+    # every entry passed in from outside is frozen to an int by
+    # perm.integers, the one operator.index in the package, whether
+    # called as an attribute or imported by name
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "index"
+                    and getattr(node.value, "id", None) == "operator"
+                ) or (isinstance(node, ast.ImportFrom) and node.module == "operator"):
+                    found.add((path.name, getattr(top, "name", "<module>")))
+    assert found == {("perm.py", "integers")}
+
+
+def test_one_default_cap():
+    # one default size cap, perm.DEFAULT_CAP: a second module-level
+    # default fails here
+    found = [
+        (path.name, target.id)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in getattr(node, "targets", [getattr(node, "target", None)])
+        if "DEFAULT" in getattr(target, "id", "")
+    ]
+    assert found == [("perm.py", "DEFAULT_CAP")]
+
+
+def test_entry_validators_stay_deleted():
+    # perm.integers and perm.square_table replaced the per-module entry
+    # checks, and perm.DEFAULT_CAP the power module's own default; none
+    # of their names is left, in code or in a comment
+    gone = ("_integer_row", "_freeze_table", "DEFAULT_POWER_CAP")
+    found = [
+        f"{path.name}:{n} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        for name in gone
+        if name in line
+    ]
+    assert found == []
+
+
 def test_one_report_type():
     # every checked property is reported by solution.VerifyReport; a
     # second report type fails here
